@@ -31,7 +31,7 @@
 //! * a `Recover` is only scheduled at an `IterationEnd` at or after the
 //!   crash's iteration (detection has happened by then) and only when
 //!   every partition the node holds still has another healthy replica —
-//!   the same check [`star_core::StarEngine::can_recover`] performs;
+//!   [`star_core::protocol::can_recover`], the check the engine performs;
 //! * a `RecoverInterrupted` obeys the same rules and leaves the node down;
 //!   its side effects stay inside the envelope too — a crashed source is an
 //!   ordinary crash (detected at the next fence, chosen so partition
@@ -65,7 +65,7 @@ use crate::schedule::{FaultOp, FaultSchedule, InjectionPoint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use star_common::{ClusterConfig, NodeId, ReplicationStrategy};
-use star_core::RecoveryFault;
+use star_core::{protocol, RecoveryFault};
 use star_net::LinkFaults;
 use std::time::Duration;
 
@@ -178,18 +178,6 @@ impl WalkState {
             })
         })
     }
-
-    /// Whether `node` could be recovered right now: every partition it
-    /// holds has another healthy holder (mirrors `StarEngine::can_recover`).
-    fn recovery_feasible(&self, node: NodeId) -> bool {
-        (0..self.config.partitions).filter(|&p| self.config.node_stores_partition(node, p)).all(
-            |p| {
-                self.crashed.iter().enumerate().any(|(n, crashed)| {
-                    n != node && !crashed && self.config.node_stores_partition(n, p)
-                })
-            },
-        )
-    }
 }
 
 /// One crash plus its optional silent-loss garnish, confined to the doomed
@@ -277,28 +265,6 @@ fn reelection_config(seed: u64) -> ClusterConfig {
         .build()
         // star-lint: allow(panic::expect) -- statically valid config in plan generation, not recovery-time code
         .expect("re-election config is valid")
-}
-
-/// The source node [`star_core::StarEngine::recover_node_interrupted`] will
-/// copy from, predicted from the configuration: the lowest-id healthy node
-/// (other than `node`) holding `node`'s first held partition. The walk uses
-/// this to keep its crashed-set bookkeeping exact when it schedules a
-/// `SourceCrash` interruption; the well-formedness test replays the same
-/// prediction.
-pub fn predicted_recovery_source(
-    config: &ClusterConfig,
-    crashed: &[bool],
-    node: NodeId,
-) -> Option<NodeId> {
-    let first_partition =
-        (0..config.partitions).find(|&p| config.node_stores_partition(node, p))?;
-    crashed
-        .iter()
-        .enumerate()
-        .find(|&(n, crashed)| {
-            n != node && !crashed && config.node_stores_partition(n, first_partition)
-        })
-        .map(|(n, _)| n)
 }
 
 /// One biased-random-walk schedule. `variant` perturbs only the walk's RNG
@@ -423,7 +389,7 @@ fn walk_plan(seed: u64, variant: u64, options: &SynthOptions) -> ChaosPlan {
         // overlapping windows drops the cluster to Case 2 until one
         // rejoins.
         if reelection && rng.gen_bool(0.6) {
-            let master = (0..state.config.full_replicas).find(|&n| !state.crashed[n]);
+            let master = protocol::elect(&state.config, &state.crashed);
             if let Some(master) = master {
                 if state.covers_all_partitions_without(master) {
                     emit_crash(
@@ -481,7 +447,7 @@ fn walk_plan(seed: u64, variant: u64, options: &SynthOptions) -> ChaosPlan {
         for node in 0..state.config.num_nodes {
             if !(state.crashed[node]
                 && (force || rng.gen_bool(0.5))
-                && state.recovery_feasible(node))
+                && protocol::can_recover(&state.config, &state.crashed, node))
             {
                 continue;
             }
@@ -489,7 +455,10 @@ fn walk_plan(seed: u64, variant: u64, options: &SynthOptions) -> ChaosPlan {
                 // A node that holds no partitions (possible when there are
                 // fewer partitions than nodes) recovers without a copy
                 // stream, so there is no source to crash.
-                let source = predicted_recovery_source(&state.config, &state.crashed, node);
+                // The walk predicts the interrupted copy's source with the
+                // engine's own rule, keeping its crashed-set bookkeeping exact.
+                let source =
+                    protocol::interrupted_recovery_source(&state.config, &state.crashed, node);
                 // Pick the most interesting interruption that keeps the
                 // safety envelope: a SourceCrash must preserve partition
                 // coverage (and spare the doomed nodes in total-loss mode);
@@ -873,11 +842,10 @@ mod tests {
                     );
                     // The node stays down; the interruption's side effects
                     // are replayed with the walk's own source prediction.
-                    let source =
-                        crate::synth::predicted_recovery_source(&plan.config, &crashed, *n)
-                            .unwrap_or_else(|| {
-                                panic!("seed {seed}: RecoverInterrupted({n}) with no source")
-                            });
+                    let source = protocol::interrupted_recovery_source(&plan.config, &crashed, *n)
+                        .unwrap_or_else(|| {
+                            panic!("seed {seed}: RecoverInterrupted({n}) with no source")
+                        });
                     match fault {
                         star_core::RecoveryFault::SourceCrash => {
                             assert!(

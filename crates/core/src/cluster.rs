@@ -1,6 +1,7 @@
 //! Construction of a simulated STAR cluster: replicas + network.
 
 use crate::messages::ReplicationBatch;
+use crate::protocol;
 use crate::workload::Workload;
 use star_common::{ClusterConfig, Error, NodeId, PartitionId, Result};
 use star_net::{Endpoint, NetworkConfig, SimNetwork};
@@ -62,27 +63,15 @@ impl StarCluster {
         let (network, endpoints) =
             SimNetwork::new::<ReplicationBatch>(config.num_nodes, net_config);
 
-        let mut nodes = Vec::with_capacity(config.num_nodes);
-        for (id, endpoint) in endpoints.into_iter().enumerate() {
-            let mut builder = DatabaseBuilder::new(config.partitions);
-            for spec in workload.catalog() {
-                builder = builder.table(spec);
-            }
-            if !config.is_full_replica(id) {
-                let held: Vec<PartitionId> = (0..config.partitions)
-                    .filter(|p| {
-                        config.partition_primary(*p) == id
-                            || config.partition_secondary(*p) == Some(id)
-                    })
-                    .collect();
-                builder = builder.holding(held);
-            }
-            let db = Arc::new(builder.build());
-            for p in db.held_partitions() {
-                workload.load_partition(&db, p);
-            }
-            nodes.push(ClusterNode { id, db, endpoint: Arc::new(endpoint) });
-        }
+        let nodes = endpoints
+            .into_iter()
+            .enumerate()
+            .map(|(id, endpoint)| ClusterNode {
+                id,
+                db: build_replica(config, workload, id),
+                endpoint: Arc::new(endpoint),
+            })
+            .collect();
         Ok(StarCluster { config: config.clone(), nodes, network })
     }
 
@@ -113,13 +102,31 @@ impl StarCluster {
     }
 
     /// Nodes (other than `from`) that must receive the writes of a committed
-    /// transaction touching `partition`: every full replica plus the
-    /// partition's primary and secondary.
+    /// transaction touching `partition` in a healthy cluster: every full
+    /// replica plus the partition's primary and secondary.
     pub fn replica_targets(&self, from: NodeId, partition: PartitionId) -> Vec<NodeId> {
-        (0..self.config.num_nodes)
-            .filter(|&n| n != from && self.config.node_stores_partition(n, partition))
-            .collect()
+        let healthy = vec![false; self.config.num_nodes];
+        protocol::replica_targets(&self.config, &healthy, from, partition)
     }
+}
+
+/// Builds node `id`'s database replica: a full replica holds everything, a
+/// partial replica the partitions it is primary or secondary for, and every
+/// held partition is loaded from the workload's deterministic initial state.
+/// The simulated cluster and a `star-serverd` node both build replicas here.
+pub fn build_replica(config: &ClusterConfig, workload: &dyn Workload, id: NodeId) -> Arc<Database> {
+    let mut builder = DatabaseBuilder::new(config.partitions);
+    for spec in workload.catalog() {
+        builder = builder.table(spec);
+    }
+    if !config.is_full_replica(id) {
+        builder = builder.holding(protocol::held_partitions(config, id).collect());
+    }
+    let db = Arc::new(builder.build());
+    for p in db.held_partitions() {
+        workload.load_partition(&db, p);
+    }
+    db
 }
 
 #[cfg(test)]

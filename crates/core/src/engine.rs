@@ -24,12 +24,13 @@
 
 use crate::cluster::StarCluster;
 use crate::exec::{
-    run_one_master_txn, run_one_partitioned_txn, MasterWorkerState, PartitionWorkerState,
-    ReplicationStage,
+    run_master_worker, run_partition_worker, run_workers, Budget, MasterWorkerState,
+    PartitionWorkerState, PhaseEnv, WorkerOutcome,
 };
 use crate::failure::FailureCase;
 use crate::history::HistoryRecorder;
 use crate::phase::PhasePlan;
+use crate::protocol::{self, ProtocolState};
 use crate::workload::Workload;
 use parking_lot::Mutex;
 use star_common::stats::{LatencyHistogram, RunCounters, RunReport};
@@ -51,30 +52,7 @@ static WAL_INSTANCE: AtomicU64 = AtomicU64::new(0);
 /// `STAR` in Figure 15(a)).
 pub type SyncReplication = ReplicationMode;
 
-/// Sampling rate for commit-latency measurements (one in `LATENCY_SAMPLE`
-/// commits records its commit instant; latency is measured to the fence that
-/// closes the epoch).
-const LATENCY_SAMPLE: u64 = 8;
-
-/// One master (re-)election, recorded at the fence that held it.
-///
-/// Elections are deterministic: the winner is always the lowest-id healthy
-/// full replica (or `None` when no full replica survives — Case 2/4), and
-/// they only happen at replication fences, where failure detection has just
-/// run. Identical seed ⇒ identical election log, which is what lets the
-/// chaos harness assert a *deterministic* new master after a coordinator
-/// crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MasterElection {
-    /// The epoch whose fence held the election (0 for the initial
-    /// appointment at engine construction).
-    pub epoch: Epoch,
-    /// The elected master, or `None` if no healthy full replica remained.
-    pub master: Option<NodeId>,
-    /// Monotonically increasing election generation (0 = initial
-    /// appointment); bumps exactly when the elected master changes.
-    pub generation: u64,
-}
+pub use crate::protocol::MasterElection;
 
 /// How a memory-to-memory recovery is interrupted mid-copy (the chaos
 /// harness's recovery-path fault injection; see
@@ -122,7 +100,7 @@ enum NextPhase {
     Unknown,
 }
 
-/// Result of one phase execution.
+/// Result of one timed phase execution.
 struct PhaseResult {
     committed: u64,
     elapsed: Duration,
@@ -131,18 +109,33 @@ struct PhaseResult {
     samples: Vec<Instant>,
 }
 
+impl PhaseResult {
+    fn new(outcomes: Vec<WorkerOutcome>, elapsed: Duration) -> Self {
+        let mut result = PhaseResult { committed: 0, elapsed, samples: Vec::new() };
+        for mut outcome in outcomes {
+            result.committed += outcome.committed;
+            result.samples.append(&mut outcome.samples);
+        }
+        result
+    }
+}
+
+/// Total commits of a phase's workers.
+fn committed(outcomes: &[WorkerOutcome]) -> u64 {
+    outcomes.iter().map(|o| o.committed).sum()
+}
+
 /// The STAR engine.
 pub struct StarEngine {
     cluster: StarCluster,
     workload: Arc<dyn Workload>,
     plan: PhasePlan,
-    epoch: Epoch,
-    last_committed_epoch: Epoch,
+    /// Epochs, the detected failure picture and the election log.
+    protocol: ProtocolState,
     counters: Arc<RunCounters>,
     latency: LatencyHistogram,
     partition_workers: Vec<PartitionWorkerState>,
     master_workers: Vec<MasterWorkerState>,
-    failed: Vec<bool>,
     /// For each currently failed node, the last epoch that had committed when
     /// its failure was detected; used to discard its in-flight writes when it
     /// recovers.
@@ -154,14 +147,6 @@ pub struct StarEngine {
     history: Option<Arc<HistoryRecorder>>,
     /// Epochs that were discarded by an epoch revert, in detection order.
     reverted_epochs: Vec<Epoch>,
-    /// The currently elected master (fence-time decision; `None` while no
-    /// healthy full replica exists).
-    elected_master: Option<NodeId>,
-    /// Generation of the current election (bumps when the master changes).
-    master_generation: u64,
-    /// Every election ever held, in order (index 0 is the initial
-    /// appointment).
-    elections: Vec<MasterElection>,
     /// Completion-tracked queue for the asynchronous tail of each epoch's
     /// group commit (deferred replica applies and WAL flushes).
     commit_queue: CommitQueue,
@@ -176,9 +161,9 @@ pub struct StarEngine {
 impl std::fmt::Debug for StarEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StarEngine")
-            .field("epoch", &self.epoch)
+            .field("epoch", &self.protocol.epoch())
             .field("nodes", &self.cluster.nodes().len())
-            .field("failed", &self.failed)
+            .field("failed", &self.protocol.failed())
             .finish()
     }
 }
@@ -243,9 +228,7 @@ impl StarEngine {
             (None, None)
         };
         let plan = PhasePlan::new(workload.mix().cross_partition_fraction);
-        let failed = vec![false; config.num_nodes];
         let failed_at_committed_epoch = vec![None; config.num_nodes];
-        let initial_master = (config.full_replicas > 0).then_some(0);
         let counters = Arc::new(RunCounters::new());
         // Deferred by default: drains are pumped at deterministic points (the
         // next fence, or a quiesce), which keeps the stepped drivers and the
@@ -256,21 +239,16 @@ impl StarEngine {
             cluster,
             workload,
             plan,
-            epoch: 1,
-            last_committed_epoch: 0,
+            protocol: ProtocolState::new(&config),
             counters,
             latency: LatencyHistogram::new(),
             partition_workers,
             master_workers,
-            failed,
             failed_at_committed_epoch,
             wal,
             wal_dir,
             history: None,
             reverted_epochs: Vec::new(),
-            elected_master: initial_master,
-            master_generation: 0,
-            elections: vec![MasterElection { epoch: 0, master: initial_master, generation: 0 }],
             commit_queue,
             drain_safe_for: NextPhase::Unknown,
             last_report: None,
@@ -284,7 +262,7 @@ impl StarEngine {
     /// deferred *for a different reader* would serve stale records.
     fn ensure_drain_safe(&mut self, phase: NextPhase) {
         if self.drain_safe_for != phase && self.drain_safe_for != NextPhase::Unknown {
-            self.commit_queue.wait_for(self.last_committed_epoch);
+            self.commit_queue.wait_for(self.protocol.last_committed());
             self.drain_safe_for = NextPhase::Unknown;
         }
     }
@@ -297,8 +275,6 @@ impl StarEngine {
 
     /// Switches the commit-drain mode. Pending drains complete first, so the
     /// switch can never reorder or lose an epoch's tail.
-    /// [`DrainMode::Immediate`] restores the unpipelined pre-fence behaviour
-    /// for A/B comparison.
     pub fn set_drain_mode(&mut self, mode: DrainMode) {
         self.commit_queue.set_mode(mode);
     }
@@ -324,7 +300,7 @@ impl StarEngine {
 
     /// The current global epoch.
     pub fn epoch(&self) -> Epoch {
-        self.epoch
+        self.protocol.epoch()
     }
 
     /// The shared run counters.
@@ -335,7 +311,7 @@ impl StarEngine {
     /// The last epoch that was closed by a replication fence (the newest
     /// epoch whose transactions have been released to clients).
     pub fn last_committed_epoch(&self) -> Epoch {
-        self.last_committed_epoch
+        self.protocol.last_committed()
     }
 
     /// Attaches a committed-history recorder. Every subsequently committed
@@ -386,7 +362,7 @@ impl StarEngine {
     /// [`crate::failure::FailureVectorMismatch`] contract of
     /// [`FailureCase::classify`] instead of panicking on it.
     pub fn failure_case(&self) -> Result<FailureCase> {
-        FailureCase::classify(self.cluster.config(), &self.failed)
+        FailureCase::classify(self.cluster.config(), self.protocol.failed())
             .map_err(|e| Error::Config(e.to_string()))
     }
 
@@ -400,64 +376,54 @@ impl StarEngine {
 
     /// Which nodes are currently known (detected) to be failed.
     pub fn failed_nodes(&self) -> Vec<NodeId> {
-        self.failed.iter().enumerate().filter(|(_, f)| **f).map(|(n, _)| n).collect()
-    }
-
-    /// Whether `node` is marked failed. Out-of-range ids count as failed:
-    /// they can never serve a phase, win an election, or source a recovery.
-    fn is_failed(&self, node: NodeId) -> bool {
-        self.failed.get(node).copied().unwrap_or(true)
+        (0..self.cluster.config().num_nodes).filter(|&n| self.protocol.is_failed(n)).collect()
     }
 
     /// The node currently acting as the designated master: the winner of the
     /// most recent election (held at every replication fence, after failure
     /// detection). `None` while no healthy full replica exists.
     pub fn current_master(&self) -> Option<NodeId> {
-        self.elected_master.filter(|&m| !self.is_failed(m))
+        self.protocol.master()
     }
 
     /// Generation of the current master election. Bumps exactly when the
     /// elected master changes (including to/from `None`), so a re-election
     /// storm is visible as a strictly increasing generation sequence.
     pub fn master_generation(&self) -> u64 {
-        self.master_generation
+        self.protocol.elections().generation()
     }
 
     /// The full election log, in order. Index 0 is the initial appointment
     /// at engine construction; later entries record fence-time re-elections.
     pub fn elections(&self) -> &[MasterElection] {
-        &self.elections
+        self.protocol.elections().entries()
     }
 
-    /// Holds a deterministic master election: the lowest-id healthy full
-    /// replica wins (matching the paper's "designated master is a full
-    /// replica" rule), or `None` when no full replica survives. Called at
-    /// every fence after failure detection; records a new log entry only
-    /// when the winner changes.
-    fn hold_election(&mut self) {
-        let winner = (0..self.cluster.config().full_replicas).find(|&n| !self.is_failed(n));
-        if winner != self.elected_master {
-            self.master_generation += 1;
-            self.elected_master = winner;
-            self.elections.push(MasterElection {
-                epoch: self.epoch,
-                master: winner,
-                generation: self.master_generation,
-            });
-        }
-    }
-
-    /// The effective primary node of a partition: its configured primary if
-    /// healthy, otherwise the first healthy node holding the partition
-    /// (re-mastering of Case 3).
+    /// The effective primary node of a partition (see
+    /// [`protocol::effective_primary`]).
     pub fn effective_primary(&self, partition: PartitionId) -> Option<NodeId> {
-        let config = self.cluster.config();
-        let primary = config.partition_primary(partition);
-        if !self.is_failed(primary) {
-            return Some(primary);
+        protocol::effective_primary(self.cluster.config(), self.protocol.failed(), partition)
+    }
+
+    /// Whether the partitioned phase can run in the current failure picture.
+    fn partitioned_available(&self) -> bool {
+        self.failure_case().map(|c| c.available()).unwrap_or(false)
+    }
+
+    /// The execution environment of a phase worker on `node`.
+    fn env(&self, node: NodeId) -> PhaseEnv<'_> {
+        let member = &self.cluster.nodes()[node];
+        PhaseEnv {
+            config: self.cluster.config(),
+            node,
+            epoch: self.protocol.epoch(),
+            db: &member.db,
+            transport: member.endpoint.as_ref(),
+            workload: self.workload.as_ref(),
+            counters: &self.counters,
+            wal: self.wal.as_ref().map(|w| w[node].as_ref()),
+            history: self.history.as_deref(),
         }
-        (0..config.num_nodes)
-            .find(|&n| !self.is_failed(n) && config.node_stores_partition(n, partition))
     }
 
     /// Runs the engine for (at least) `duration`, returning a report with the
@@ -513,8 +479,7 @@ impl StarEngine {
         let iteration = self.plan.adaptive_iteration(self.cluster.config().iteration);
         let (tau_p, tau_s) = self.plan.split(iteration);
 
-        let available = self.failure_case().map(|c| c.available()).unwrap_or(false);
-        let partitioned = if !tau_p.is_zero() && available {
+        let partitioned = if !tau_p.is_zero() && self.partitioned_available() {
             Some(self.run_partitioned_phase(tau_p))
         } else {
             None
@@ -566,180 +531,69 @@ impl StarEngine {
         }
     }
 
-    /// Runs the partitioned phase for `tau_p`.
+    /// Runs the partitioned phase for `tau_p`: one thread per partition.
     fn run_partitioned_phase(&mut self, tau_p: Duration) -> PhaseResult {
-        self.ensure_drain_safe(NextPhase::Partitioned);
-        let config = self.cluster.config().clone();
-        let deadline = Instant::now() + tau_p;
-        let start = Instant::now();
-        let epoch = self.epoch;
-        let strategy = config.replication_strategy;
-        let mut total_committed = 0u64;
-        let mut samples = Vec::new();
-
-        // Precompute, per partition, the node that will execute it and the
-        // replica targets, so the scoped workers only capture owned data.
-        let assignments: Vec<Option<(NodeId, Vec<NodeId>)>> = (0..config.partitions)
-            .map(|p| {
-                self.effective_primary(p).map(|primary| {
-                    let targets: Vec<NodeId> = self
-                        .cluster
-                        .replica_targets(primary, p)
-                        .into_iter()
-                        .filter(|n| !self.failed[*n])
-                        .collect();
-                    (primary, targets)
-                })
-            })
-            .collect();
-
-        let cluster = &self.cluster;
-        let workload = &self.workload;
-        let counters = &self.counters;
-        let wal = &self.wal;
-        let history = &self.history;
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (partition, state) in self.partition_workers.iter_mut().enumerate() {
-                let Some((primary, targets)) = assignments[partition].clone() else {
-                    continue;
-                };
-                let node = &cluster.nodes()[primary];
-                let db = Arc::clone(&node.db);
-                let endpoint = Arc::clone(&node.endpoint);
-                let workload = Arc::clone(workload);
-                let counters = Arc::clone(counters);
-                let wal = wal.as_ref().map(|w| Arc::clone(&w[primary]));
-                let history = history.clone();
-                let num_nodes = config.num_nodes;
-                handles.push(scope.spawn(move || {
-                    let mut committed = 0u64;
-                    let mut attempts = 0u64;
-                    let mut samples = Vec::new();
-                    // Each worker stages its replication traffic in its own
-                    // buffers and merges at the end of the phase: no shared
-                    // lock, no per-transaction fan-out.
-                    let mut stage = ReplicationStage::new(primary, epoch, num_nodes);
-                    // Always attempt at least one transaction per phase so a
-                    // heavily loaded host cannot starve a worker out of an
-                    // entire (very short) phase.
-                    while attempts == 0 || Instant::now() < deadline {
-                        attempts += 1;
-                        if run_one_partitioned_txn(
-                            partition,
-                            primary,
-                            &targets,
-                            &db,
-                            endpoint.as_ref(),
-                            workload.as_ref(),
-                            &counters,
-                            wal.as_deref(),
-                            history.as_deref(),
-                            epoch,
-                            strategy,
-                            state,
-                            Some(&mut stage),
-                        ) {
-                            committed += 1;
-                            if committed % LATENCY_SAMPLE == 0 {
-                                samples.push(Instant::now());
-                            }
-                        }
-                        stage.flush_if_full(endpoint.as_ref(), &counters);
-                    }
-                    stage.flush(endpoint.as_ref(), &counters);
-                    (committed, samples)
-                }));
-            }
-            for handle in handles {
-                let (committed, mut worker_samples) =
-                    handle.join().expect("partition worker panicked");
-                total_committed += committed;
-                samples.append(&mut worker_samples);
-            }
+        let mut start = Instant::now();
+        let outcomes = self.partitioned_phase(|| {
+            start = Instant::now();
+            Budget::Deadline(start + tau_p)
         });
-
-        PhaseResult { committed: total_committed, elapsed: start.elapsed(), samples }
+        PhaseResult::new(outcomes, start.elapsed())
     }
 
-    /// Runs the single-master phase for `tau_s`.
+    /// Runs the single-master phase for `tau_s`: one thread per master
+    /// worker.
     fn run_single_master_phase(&mut self, tau_s: Duration) -> PhaseResult {
-        self.ensure_drain_safe(NextPhase::SingleMaster);
-        let config = self.cluster.config().clone();
-        let Some(master) = self.current_master() else {
-            return PhaseResult { committed: 0, elapsed: Duration::ZERO, samples: Vec::new() };
-        };
-        let deadline = Instant::now() + tau_s;
-        let start = Instant::now();
-        let epoch = self.epoch;
-        let mut total_committed = 0u64;
-        let mut samples = Vec::new();
-
-        let healthy: Vec<NodeId> =
-            (0..config.num_nodes).filter(|&n| n != master && !self.failed[n]).collect();
-        let cluster = &self.cluster;
-        let workload = &self.workload;
-        let counters = &self.counters;
-        let wal = &self.wal;
-        let history = &self.history;
-        let master_node = &cluster.nodes()[master];
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (worker_id, state) in self.master_workers.iter_mut().enumerate() {
-                let db = Arc::clone(&master_node.db);
-                let endpoint = Arc::clone(&master_node.endpoint);
-                let workload = Arc::clone(workload);
-                let counters = Arc::clone(counters);
-                let wal = wal.as_ref().map(|w| Arc::clone(&w[master]));
-                let history = history.clone();
-                let healthy = healthy.clone();
-                let config = config.clone();
-                handles.push(scope.spawn(move || {
-                    let mut committed = 0u64;
-                    let mut attempts = 0u64;
-                    let mut samples = Vec::new();
-                    // Per-worker staging, merged at phase end (see the
-                    // partitioned phase).
-                    let mut stage = ReplicationStage::new(master, epoch, config.num_nodes);
-                    while attempts == 0 || Instant::now() < deadline {
-                        attempts += 1;
-                        if run_one_master_txn(
-                            worker_id,
-                            master,
-                            &healthy,
-                            &config,
-                            &db,
-                            endpoint.as_ref(),
-                            workload.as_ref(),
-                            &counters,
-                            wal.as_deref(),
-                            history.as_deref(),
-                            epoch,
-                            state,
-                            Some(&mut stage),
-                        ) {
-                            committed += 1;
-                            if committed % LATENCY_SAMPLE == 0 {
-                                samples.push(Instant::now());
-                            }
-                        }
-                        stage.flush_if_full(endpoint.as_ref(), &counters);
-                    }
-                    stage.flush(endpoint.as_ref(), &counters);
-                    (committed, samples)
-                }));
-            }
-            for handle in handles {
-                let (committed, mut worker_samples) =
-                    handle.join().expect("master worker panicked");
-                total_committed += committed;
-                samples.append(&mut worker_samples);
-            }
+        let mut start = Instant::now();
+        let outcomes = self.single_master_phase(|| {
+            start = Instant::now();
+            Budget::Deadline(start + tau_s)
         });
+        PhaseResult::new(outcomes, start.elapsed())
+    }
 
-        PhaseResult { committed: total_committed, elapsed: start.elapsed(), samples }
+    /// The partitioned phase under the budget `budget` returns: each
+    /// partition's worker runs on the partition's effective primary and
+    /// replicates to its healthy holders. The budget is taken only after
+    /// the drain check, so a drain wait never eats into a timed phase.
+    fn partitioned_phase(&mut self, budget: impl FnOnce() -> Budget) -> Vec<WorkerOutcome> {
+        self.ensure_drain_safe(NextPhase::Partitioned);
+        let budget = budget();
+        let mut workers = std::mem::take(&mut self.partition_workers);
+        let (config, failed) = (self.cluster.config(), self.protocol.failed());
+        let jobs: Vec<_> = workers
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(partition, state)| {
+                let primary = protocol::effective_primary(config, failed, partition)?;
+                let targets = protocol::replica_targets(config, failed, primary, partition);
+                Some((self.env(primary), partition, targets, state))
+            })
+            .collect();
+        let outcomes = run_workers(budget, jobs, |(env, partition, targets, state)| {
+            run_partition_worker(budget, &env, partition, &targets, state)
+        });
+        self.partition_workers = workers;
+        outcomes
+    }
+
+    /// The single-master phase under the budget `budget` returns, on the
+    /// elected master (see [`partitioned_phase`](Self::partitioned_phase)).
+    fn single_master_phase(&mut self, budget: impl FnOnce() -> Budget) -> Vec<WorkerOutcome> {
+        let Some(master) = self.current_master() else {
+            return Vec::new();
+        };
+        self.ensure_drain_safe(NextPhase::SingleMaster);
+        let budget = budget();
+        let healthy = protocol::healthy_peers(self.protocol.failed(), master);
+        let mut workers = std::mem::take(&mut self.master_workers);
+        let env = self.env(master);
+        let outcomes =
+            run_workers(budget, workers.iter_mut().enumerate().collect(), |(w, state)| {
+                run_master_worker(budget, &env, w, &healthy, state)
+            });
+        self.master_workers = workers;
+        outcomes
     }
 
     /// Deterministic, single-threaded variant of the partitioned phase: each
@@ -753,62 +607,10 @@ impl StarEngine {
     /// This is what the chaos harness's "identical seed ⇒ identical history"
     /// contract rests on. Returns the number of committed transactions.
     pub fn run_partitioned_phase_stepped(&mut self, txns_per_partition: u64) -> u64 {
-        let available = self.failure_case().map(|c| c.available()).unwrap_or(false);
-        if txns_per_partition == 0 || !available {
+        if txns_per_partition == 0 || !self.partitioned_available() {
             return 0;
         }
-        self.ensure_drain_safe(NextPhase::Partitioned);
-        let config = self.cluster.config().clone();
-        let epoch = self.epoch;
-        let strategy = config.replication_strategy;
-        let assignments: Vec<Option<(NodeId, Vec<NodeId>)>> = (0..config.partitions)
-            .map(|p| {
-                self.effective_primary(p).map(|primary| {
-                    let targets: Vec<NodeId> = self
-                        .cluster
-                        .replica_targets(primary, p)
-                        .into_iter()
-                        .filter(|n| !self.failed[*n])
-                        .collect();
-                    (primary, targets)
-                })
-            })
-            .collect();
-
-        let cluster = &self.cluster;
-        let workload = &self.workload;
-        let counters = &self.counters;
-        let wal = &self.wal;
-        let history = &self.history;
-        let mut total_committed = 0u64;
-
-        for (partition, state) in self.partition_workers.iter_mut().enumerate() {
-            let Some((primary, targets)) = assignments[partition].clone() else {
-                continue;
-            };
-            let node = &cluster.nodes()[primary];
-            let wal = wal.as_ref().map(|w| w[primary].as_ref());
-            for _ in 0..txns_per_partition {
-                if run_one_partitioned_txn(
-                    partition,
-                    primary,
-                    &targets,
-                    &node.db,
-                    node.endpoint.as_ref(),
-                    workload.as_ref(),
-                    counters,
-                    wal,
-                    history.as_deref(),
-                    epoch,
-                    strategy,
-                    state,
-                    None,
-                ) {
-                    total_committed += 1;
-                }
-            }
-        }
-        total_committed
+        committed(&self.partitioned_phase(|| Budget::Attempts(txns_per_partition)))
     }
 
     /// Deterministic, single-threaded variant of the single-master phase:
@@ -819,47 +621,10 @@ impl StarEngine {
     /// [`run_partitioned_phase_stepped`](Self::run_partitioned_phase_stepped)).
     /// Returns the number of committed transactions.
     pub fn run_single_master_phase_stepped(&mut self, txns_per_worker: u64) -> u64 {
-        let config = self.cluster.config().clone();
-        let Some(master) = self.current_master() else {
-            return 0;
-        };
         if txns_per_worker == 0 {
             return 0;
         }
-        self.ensure_drain_safe(NextPhase::SingleMaster);
-        let epoch = self.epoch;
-        let healthy: Vec<NodeId> =
-            (0..config.num_nodes).filter(|&n| n != master && !self.failed[n]).collect();
-        let cluster = &self.cluster;
-        let workload = &self.workload;
-        let counters = &self.counters;
-        let wal = self.wal.as_ref().map(|w| w[master].as_ref());
-        let history = &self.history;
-        let master_node = &cluster.nodes()[master];
-        let mut total_committed = 0u64;
-
-        for (worker_id, state) in self.master_workers.iter_mut().enumerate() {
-            for _ in 0..txns_per_worker {
-                if run_one_master_txn(
-                    worker_id,
-                    master,
-                    &healthy,
-                    &config,
-                    &master_node.db,
-                    master_node.endpoint.as_ref(),
-                    workload.as_ref(),
-                    counters,
-                    wal,
-                    history.as_deref(),
-                    epoch,
-                    state,
-                    None,
-                ) {
-                    total_committed += 1;
-                }
-            }
-        }
-        total_committed
+        committed(&self.single_master_phase(|| Budget::Attempts(txns_per_worker)))
     }
 
     /// One fully deterministic iteration: stepped partitioned phase, fence,
@@ -896,37 +661,34 @@ impl StarEngine {
     fn replication_fence(&mut self, next: NextPhase) -> Instant {
         // star-lint: allow(determinism::instant-now) -- fence-duration telemetry only; no control flow or recorded history depends on it
         let start = Instant::now();
-        let config = self.cluster.config().clone();
 
         // Pipelining step 1: the previous epoch's drain must fully land
         // before this fence reasons about replica state (reverts, applies,
         // recoveries all assume replicas reflect every committed epoch).
-        self.commit_queue.wait_for(self.last_committed_epoch);
+        self.commit_queue.wait_for(self.protocol.last_committed());
         self.drain_safe_for = NextPhase::Unknown;
 
         // Failure detection: the coordinator notices nodes that stopped
         // responding. Newly failed nodes trigger an epoch revert on every
-        // healthy replica (Figure 6) before the fence proceeds.
-        let newly_failed: Vec<NodeId> = (0..config.num_nodes)
-            .filter(|&n| self.cluster.network().is_failed(n) && !self.failed[n])
+        // healthy replica (Figure 6) before the fence proceeds, and the
+        // master is re-elected over the new failure picture: a crashed
+        // coordinator is replaced by the next healthy full replica, and a
+        // recovered lower-id full replica takes the role back.
+        let network = self.cluster.network();
+        let now_failed: Vec<bool> = (0..self.cluster.config().num_nodes)
+            .map(|n| self.protocol.is_failed(n) || network.is_failed(n))
             .collect();
-        let reverting = !newly_failed.is_empty();
-        if reverting {
-            for &n in &newly_failed {
-                self.failed[n] = true;
-                self.failed_at_committed_epoch[n] = Some(self.last_committed_epoch);
-            }
+        let decision = self.protocol.fence(&now_failed);
+        for &n in &decision.newly_failed {
+            self.failed_at_committed_epoch[n] = Some(decision.revert_to);
+        }
+        if decision.reverting {
             for (n, node) in self.cluster.nodes().iter().enumerate() {
-                if !self.failed[n] {
-                    node.db.revert_to_epoch(self.last_committed_epoch);
+                if !self.protocol.is_failed(n) {
+                    node.db.revert_to_epoch(decision.revert_to);
                 }
             }
         }
-        // Re-elect the master now that the failure picture is current: a
-        // crashed coordinator is replaced by the next healthy full replica,
-        // and a recovered lower-id full replica takes the role back — both
-        // deterministically, before the next single-master phase runs.
-        self.hold_election();
 
         // Release any messages held back by reorder faults: the fence's
         // contract is that every *sent* message is either applied now or
@@ -936,10 +698,8 @@ impl StarEngine {
         }
 
         // Drain outstanding replication streams on every healthy node,
-        // ignoring messages that originated at failed nodes. When a failure
-        // was just detected, the whole in-flight epoch is being discarded
-        // (Figure 6), so its replication messages must be dropped as well —
-        // applying them would resurrect writes the primaries just reverted.
+        // keeping only the batches the fence admits (no failed senders, and
+        // nothing from an epoch being discarded).
         //
         // Each surviving entry is applied *now* only if the next phase reads
         // the target copy: on the elected master before a single-master
@@ -953,15 +713,12 @@ impl StarEngine {
         let apply_start = Instant::now();
         let mut deferred: Vec<(Arc<Database>, Vec<EncodedEntry>)> = Vec::new();
         for (n, node) in self.cluster.nodes().iter().enumerate() {
-            if self.failed[n] {
+            if self.protocol.is_failed(n) {
                 continue;
             }
             let mut deferred_entries: Vec<EncodedEntry> = Vec::new();
             for envelope in node.endpoint.drain() {
-                if self.failed[envelope.from] {
-                    continue;
-                }
-                if reverting && envelope.payload.epoch > self.last_committed_epoch {
+                if !self.protocol.admits(envelope.from, envelope.payload.epoch, &decision) {
                     continue;
                 }
                 for entry in envelope.payload.entries {
@@ -988,9 +745,9 @@ impl StarEngine {
         }
         self.counters.add_replication_flush(apply_start.elapsed());
 
-        // Epoch commit: no per-record work at all. Advancing
-        // `last_committed_epoch` below is what retires the epoch's version
-        // stashes — `revert_to_epoch`'s gate skips any record whose current
+        // Epoch commit: no per-record work at all. Advancing the last
+        // committed epoch (the protocol fence above did) is what retires the
+        // epoch's version stashes — `revert_to_epoch`'s gate skips any record whose current
         // epoch has committed, and the first write of a later epoch replaces
         // the stash with its own pre-image. (An eager fence-time GC here
         // used to walk every record of every replica, which dominated the
@@ -999,27 +756,26 @@ impl StarEngine {
         let mut wal_flushes = Vec::new();
         if let Some(wal) = &self.wal {
             for (n, writer) in wal.iter().enumerate() {
-                if !self.failed[n] {
+                if !self.protocol.is_failed(n) {
                     wal_flushes.push(Arc::clone(writer));
                 }
             }
         }
-        if reverting {
+        let epoch = decision.closed_epoch;
+        if decision.reverting {
             // The epoch's transactions were never released to clients: they
             // are discarded from every replica above, so they must vanish
             // from the recorded history too.
-            self.reverted_epochs.push(self.epoch);
+            self.reverted_epochs.push(epoch);
         }
         if let Some(history) = &self.history {
-            history.finalize_epoch(self.epoch, !reverting);
+            history.finalize_epoch(epoch, !decision.reverting);
         }
-        let drain = EpochDrain { epoch: self.epoch, applies: deferred, wal_flushes };
+        let drain = EpochDrain { epoch, applies: deferred, wal_flushes };
         if !drain.is_empty() {
             self.commit_queue.submit(drain);
         }
         self.drain_safe_for = next;
-        self.last_committed_epoch = self.epoch;
-        self.epoch += 1;
         // star-lint: allow(determinism::instant-now) -- group-commit timestamp feeds latency telemetry, not simulation state
         let end = Instant::now();
         self.counters.add_fence(end - start);
@@ -1043,18 +799,71 @@ impl StarEngine {
     /// schedule synthesizer and the chaos driver consult it before
     /// scheduling overlapping recoveries.
     pub fn can_recover(&self, node: NodeId) -> bool {
-        let Some(node_db) = self.cluster.node(node).map(|n| &n.db) else {
-            return false;
-        };
-        node_db.held_partitions().into_iter().all(|partition| {
-            (0..self.cluster.config().num_nodes)
-                .any(|n| n != node && !self.is_failed(n) && self.node_holds(n, partition))
-        })
+        protocol::can_recover(self.cluster.config(), self.protocol.failed(), node)
     }
 
-    /// Whether `node` exists and its replica holds `partition`.
-    fn node_holds(&self, node: NodeId, partition: PartitionId) -> bool {
-        self.cluster.node(node).is_some_and(|n| n.db.holds(partition))
+    /// The first steps of every recovery of `node`: complete pending epoch
+    /// drains (the copy reads healthy replicas directly, and a drain landing
+    /// on a source after the copy would leave the node permanently behind),
+    /// check that the node exists and can be recovered, and discard its
+    /// inbox. Returns the node's replica, or `None` when the node is healthy
+    /// and there is nothing to do.
+    fn begin_recovery(&self, node: NodeId) -> Result<Option<Arc<Database>>> {
+        self.commit_queue.quiesce();
+        let Some(target) = self.cluster.node(node) else {
+            return Err(Error::Config(format!("no such node {node}")));
+        };
+        if !self.protocol.is_failed(node) {
+            return Ok(None);
+        }
+        if !self.can_recover(node) {
+            return Err(Error::Config(format!(
+                "node {node}: no healthy replica holds every partition it needs; recover \
+                 another replica first or recover from disk"
+            )));
+        }
+        // Everything still queued at this node's endpoint was addressed to
+        // the crashed process and died with it — in particular replication
+        // batches of epochs the cluster reverted after the crash (fences skip
+        // failed nodes, so their queues are never drained while down).
+        // Applying them after rejoining would resurrect discarded writes;
+        // the copy from healthy replicas supplies the current state.
+        drop(target.endpoint.drain());
+        Ok(Some(Arc::clone(&target.db)))
+    }
+
+    /// Copies every record of `partition` from its recovery source (see
+    /// [`protocol::recovery_source`]) into `target` under the Thomas write
+    /// rule. Returns the source and the number of records that were fresher
+    /// than the target's.
+    fn copy_from_source(
+        &self,
+        node: NodeId,
+        partition: PartitionId,
+        target: &Database,
+    ) -> Result<(NodeId, usize)> {
+        let failed = self.protocol.failed();
+        let source = protocol::recovery_source(self.cluster.config(), failed, node, partition);
+        // `can_recover` held a moment ago, but recovery must never be a
+        // crash site: a missing source is a typed error, not a panic.
+        let Some((source, source_node)) = source.and_then(|s| self.cluster.node(s).map(|n| (s, n)))
+        else {
+            return Err(Error::Config(format!(
+                "node {node}: no healthy replica holds partition {partition}; recover from disk \
+                 instead"
+            )));
+        };
+        let mut copied = 0usize;
+        source_node.db.for_each_record(|table, p, key, rec| {
+            if p != partition {
+                return;
+            }
+            let read = rec.read();
+            if target.apply_value_write(table, p, key, read.row, read.tid).unwrap_or(false) {
+                copied += 1;
+            }
+        });
+        Ok((source, copied))
     }
 
     /// Recovers a previously failed node: the node copies the partitions it
@@ -1069,62 +878,23 @@ impl StarEngine {
     /// untouched, and a later recovery attempt — e.g. after another replica
     /// rejoined — can still succeed.
     pub fn recover_node(&mut self, node: NodeId) -> Result<usize> {
-        // The copy below reads healthy replicas directly; a still-pending
-        // epoch drain would make it miss the deferred applies (the source
-        // would receive them after the copy, leaving the recovered node
-        // permanently behind).
-        self.commit_queue.quiesce();
-        let Some(target) = self.cluster.node(node) else {
-            return Err(Error::Config(format!("no such node {node}")));
-        };
-        if !self.is_failed(node) {
+        let Some(target_db) = self.begin_recovery(node)? else {
             return Ok(0);
-        }
-        if !self.can_recover(node) {
-            return Err(Error::Config(format!(
-                "node {node}: no healthy replica holds every partition it needs; recover \
-                 another replica first or recover from disk"
-            )));
-        }
+        };
         // The failed node's replica may still contain writes from the epoch
         // that was in flight when it crashed; that epoch was discarded by the
         // rest of the cluster (Figure 6), so discard it here too before
         // catching up.
-        let target_db = Arc::clone(&target.db);
-        // Everything still queued at this node's endpoint was addressed to
-        // the crashed process and died with it — in particular replication
-        // batches of epochs the cluster reverted after the crash (fences skip
-        // failed nodes, so their queues are never drained while down).
-        // Applying them after rejoining would resurrect discarded writes;
-        // the copy from healthy replicas below supplies the current state.
-        drop(target.endpoint.drain());
         if let Some(committed) = self.failed_at_committed_epoch.get_mut(node).and_then(Option::take)
         {
             target_db.revert_to_epoch(committed);
         }
         let mut copied = 0usize;
         for partition in target_db.held_partitions() {
-            let source = (0..self.cluster.config().num_nodes)
-                .find(|&n| n != node && !self.is_failed(n) && self.node_holds(n, partition));
-            let Some(source_db) = source.and_then(|n| self.cluster.node(n)).map(|n| &n.db) else {
-                return Err(Error::Config(format!(
-                    "no healthy replica holds partition {partition}; recover from disk instead"
-                )));
-            };
-            source_db.for_each_record(|table, p, key, rec| {
-                if p != partition {
-                    return;
-                }
-                let read = rec.read();
-                if target_db.apply_value_write(table, p, key, read.row, read.tid).unwrap_or(false) {
-                    copied += 1;
-                }
-            });
+            copied += self.copy_from_source(node, partition, &target_db)?.1;
         }
         self.cluster.network().heal_node(node);
-        if let Some(failed) = self.failed.get_mut(node) {
-            *failed = false;
-        }
+        self.protocol.mark_recovered(node);
         Ok(copied)
     }
 
@@ -1158,22 +928,9 @@ impl StarEngine {
         node: NodeId,
         fault: RecoveryFault,
     ) -> Result<InterruptedRecovery> {
-        // Same as `recover_node`: the partial copy reads replicas directly,
-        // so pending epoch drains must land first.
-        self.commit_queue.quiesce();
-        let Some(target) = self.cluster.node(node) else {
-            return Err(Error::Config(format!("no such node {node}")));
-        };
-        if !self.is_failed(node) {
+        let Some(target_db) = self.begin_recovery(node)? else {
             return Ok(InterruptedRecovery { source: node, records_copied: 0 });
-        }
-        if !self.can_recover(node) {
-            return Err(Error::Config(format!(
-                "node {node}: no healthy replica holds every partition it needs; recover \
-                 another replica first or recover from disk"
-            )));
-        }
-        let target_db = Arc::clone(&target.db);
+        };
         // Peek — do NOT consume — the revert marker: an interruption can
         // land mid-epoch, in which case the partial copy below includes the
         // source's *in-flight* versions. If that epoch later reverts, the
@@ -1185,40 +942,18 @@ impl StarEngine {
         if let Some(committed) = self.failed_at_committed_epoch.get(node).copied().flatten() {
             target_db.revert_to_epoch(committed);
         }
-        drop(target.endpoint.drain());
         let partition = target_db
             .held_partitions()
             .into_iter()
             .next()
             .ok_or_else(|| Error::Config(format!("node {node} holds no partitions")))?;
-        // `can_recover` held a moment ago, but recovery must never be a
-        // crash site: a vanished source is a typed error, not a panic.
-        let source = (0..self.cluster.config().num_nodes)
-            .find(|&n| n != node && !self.is_failed(n) && self.node_holds(n, partition))
-            .ok_or_else(|| {
-                Error::Config(format!(
-                    "node {node}: healthy source for partition {partition} vanished mid-recovery"
-                ))
-            })?;
-        let mut copied = 0usize;
-        let Some(source_db) = self.cluster.node(source).map(|n| &n.db) else {
-            return Err(Error::Config(format!("no such node {source}")));
-        };
-        source_db.for_each_record(|table, p, key, rec| {
-            if p != partition {
-                return;
-            }
-            let read = rec.read();
-            if target_db.apply_value_write(table, p, key, read.row, read.tid).unwrap_or(false) {
-                copied += 1;
-            }
-        });
+        let (source, records_copied) = self.copy_from_source(node, partition, &target_db)?;
         match fault {
             RecoveryFault::SourceCrash => self.cluster.network().fail_node(source),
             RecoveryFault::TargetCrash => {}
             RecoveryFault::LinkCut => self.cluster.network().cut_link(source, node),
         }
-        Ok(InterruptedRecovery { source, records_copied: copied })
+        Ok(InterruptedRecovery { source, records_copied })
     }
 
     /// Checks that every pair of healthy replicas agrees on the contents of
@@ -1237,7 +972,7 @@ impl StarEngine {
             .iter()
             .enumerate()
             .map(|(n, node)| {
-                if self.failed[n] {
+                if self.protocol.is_failed(n) {
                     return None;
                 }
                 let mut map = BTreeMap::new();
@@ -1250,7 +985,9 @@ impl StarEngine {
             .collect();
         for partition in 0..config.partitions {
             let holders: Vec<usize> = (0..config.num_nodes)
-                .filter(|&n| !self.failed[n] && self.cluster.nodes()[n].db.holds(partition))
+                .filter(|&n| {
+                    !self.protocol.is_failed(n) && self.cluster.nodes()[n].db.holds(partition)
+                })
                 .collect();
             let Some(&reference) = holders.first() else { continue };
             let reference_map = snapshots[reference].as_ref().unwrap();
@@ -1798,15 +1535,6 @@ mod tests {
             history.fingerprint()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn immediate_drain_mode_restores_unpipelined_fences() {
-        let mut engine = StarEngine::new(small_config(), workload(0.3)).unwrap();
-        engine.set_drain_mode(DrainMode::Immediate);
-        engine.run_iteration_stepped(8, 4);
-        assert!(engine.pending_drains().is_empty(), "immediate mode drains at the fence");
-        engine.verify_replica_consistency().unwrap();
     }
 
     #[test]

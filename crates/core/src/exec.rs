@@ -1,10 +1,11 @@
-//! The shared per-transaction execution paths.
+//! The shared phase executor.
 //!
-//! Exactly one implementation exists of "execute one partitioned-phase
-//! transaction" and "execute one single-master-phase transaction", and both
-//! the in-process [`StarEngine`](crate::StarEngine) (threaded and stepped
-//! drivers) and the TCP deployment (`star-serverd`) call it. Replication goes
-//! through [`Transport`], the seam implemented by the deterministic
+//! Exactly one implementation exists of "run a partitioned-phase worker" and
+//! "run a single-master-phase worker" ([`run_partition_worker`],
+//! [`run_master_worker`]), and the in-process [`StarEngine`](crate::StarEngine)
+//! (threaded and stepped drivers) and the TCP deployment (`star-serverd`) all
+//! call it; only the [`Budget`] differs. Replication goes through
+//! [`Transport`], the seam implemented by the deterministic
 //! in-memory endpoint and by the real TCP mesh alike — so when the
 //! transport-parity harness asserts byte-identical committed histories
 //! between wire and simulation, the engine logic is shared by construction
@@ -24,16 +25,158 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use star_common::stats::RunCounters;
 use star_common::{
-    ClusterConfig, Epoch, Error, NodeId, PartitionId, ReplicationMode, ReplicationStrategy, Tid,
-    TidGenerator,
+    ClusterConfig, Epoch, Error, NodeId, PartitionId, ReplicationMode, Tid, TidGenerator,
 };
 use star_net::{Message as _, Transport};
-use star_occ::{commit_partitioned, commit_single_master, TxnCtx, WriteEntry};
+use star_occ::{
+    commit_partitioned, commit_single_master, CommitOutput, ReadSet, TxnCtx, WriteEntry,
+};
 use star_replication::{
     build_log_entries, EncodedEntry, ExecutionPhase, LogEntry, Payload, WalWriter,
 };
 use star_storage::Database;
 use std::time::Instant;
+
+/// Sampling rate for commit-latency measurements: one in `LATENCY_SAMPLE`
+/// commits of a timed phase records its commit instant; latency is measured
+/// to the fence that closes the epoch.
+const LATENCY_SAMPLE: u64 = 8;
+
+/// How long a phase worker runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Budget {
+    /// Until the instant passes, always attempting at least one transaction
+    /// so a loaded host cannot starve a worker out of a short phase. Timed
+    /// workers stage their replication per target ([`ReplicationStage`]) and
+    /// sample commit instants for the latency histogram.
+    Deadline(Instant),
+    /// Exactly this many transaction attempts, with one replication send per
+    /// committed transaction: the deterministic budget of the stepped
+    /// drivers and the TCP deployment, whose committed streams and message
+    /// sequences must be pure functions of the seed.
+    Attempts(u64),
+}
+
+impl Budget {
+    fn allows(self, attempts: u64) -> bool {
+        match self {
+            Budget::Deadline(deadline) => attempts == 0 || Instant::now() < deadline,
+            Budget::Attempts(limit) => attempts < limit,
+        }
+    }
+
+    fn is_timed(self) -> bool {
+        matches!(self, Budget::Deadline(_))
+    }
+}
+
+/// Where a phase worker runs and what it touches: everything but its own
+/// seeded state.
+#[derive(Clone, Copy)]
+pub struct PhaseEnv<'a> {
+    /// The cluster configuration.
+    pub config: &'a ClusterConfig,
+    /// The node executing (a partition's effective primary, or the master).
+    pub node: NodeId,
+    /// The epoch being executed.
+    pub epoch: Epoch,
+    /// The executing node's replica.
+    pub db: &'a Database,
+    /// The executing node's replication transport.
+    pub transport: &'a dyn Transport<ReplicationBatch>,
+    /// The workload generating transactions.
+    pub workload: &'a dyn Workload,
+    /// Counters for commits, aborts and traffic.
+    pub counters: &'a RunCounters,
+    /// The executing node's WAL, when disk logging is on.
+    pub wal: Option<&'a Mutex<WalWriter>>,
+    /// The committed-history recorder, when attached.
+    pub history: Option<&'a HistoryRecorder>,
+}
+
+/// What one phase worker did.
+#[derive(Debug, Default)]
+pub struct WorkerOutcome {
+    /// Committed transactions.
+    pub committed: u64,
+    /// Commit instants of sampled transactions (timed budgets only).
+    pub samples: Vec<Instant>,
+}
+
+/// Runs one worker per job under `budget`. A deadline runs the workers on
+/// scoped threads, concurrently; an attempt count runs them one after
+/// another, in job order, on the calling thread.
+pub(crate) fn run_workers<J: Send>(
+    budget: Budget,
+    jobs: Vec<J>,
+    work: impl Fn(J) -> WorkerOutcome + Sync,
+) -> Vec<WorkerOutcome> {
+    if !budget.is_timed() {
+        return jobs.into_iter().map(work).collect();
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs.into_iter().map(|job| scope.spawn(move || work(job))).collect();
+        handles.into_iter().map(|handle| handle.join().expect("phase worker panicked")).collect()
+    })
+}
+
+/// The phase-worker loop: attempts transactions until `budget` runs out,
+/// sampling commit instants and flushing the replication stage of a timed
+/// budget.
+fn run_worker(
+    budget: Budget,
+    env: &PhaseEnv<'_>,
+    mut attempt: impl FnMut(Option<&mut ReplicationStage>) -> bool,
+) -> WorkerOutcome {
+    // Each timed worker stages its replication traffic in its own buffers
+    // and merges at the end of the phase: no shared lock, no
+    // per-transaction fan-out.
+    let mut stage =
+        budget.is_timed().then(|| ReplicationStage::new(env.node, env.epoch, env.config.num_nodes));
+    let mut outcome = WorkerOutcome::default();
+    let mut attempts = 0u64;
+    while budget.allows(attempts) {
+        attempts += 1;
+        if attempt(stage.as_mut()) {
+            outcome.committed += 1;
+            if budget.is_timed() && outcome.committed % LATENCY_SAMPLE == 0 {
+                outcome.samples.push(Instant::now());
+            }
+        }
+        if let Some(stage) = &mut stage {
+            stage.flush_if_full(env.transport, env.counters);
+        }
+    }
+    if let Some(stage) = &mut stage {
+        stage.flush(env.transport, env.counters);
+    }
+    outcome
+}
+
+/// Runs `partition`'s worker on its effective primary `env.node`,
+/// replicating to `targets`.
+pub fn run_partition_worker(
+    budget: Budget,
+    env: &PhaseEnv<'_>,
+    partition: PartitionId,
+    targets: &[NodeId],
+    state: &mut PartitionWorkerState,
+) -> WorkerOutcome {
+    run_worker(budget, env, |stage| run_one_partitioned_txn(env, partition, targets, state, stage))
+}
+
+/// Runs master worker `worker_id` on the master `env.node`, replicating to
+/// the `healthy` peers that hold each written partition.
+pub fn run_master_worker(
+    budget: Budget,
+    env: &PhaseEnv<'_>,
+    worker_id: usize,
+    healthy: &[NodeId],
+    state: &mut MasterWorkerState,
+) -> WorkerOutcome {
+    run_worker(budget, env, |stage| run_one_master_txn(env, worker_id, healthy, state, stage))
+}
 
 /// Per-worker staging of replication traffic.
 ///
@@ -41,8 +184,8 @@ use std::time::Instant;
 /// flushed as one merged batch per target, so each worker pays the transport
 /// fan-out cost (channel enqueue, fault-plane roll, stats update) once per
 /// flush instead of once per transaction — the contention point behind the
-/// 2→4 thread throughput collapse. Only the *timed* threaded phases stage;
-/// the stepped deterministic drivers and the TCP deployment keep
+/// 2→4 thread throughput collapse. Only [`Budget::Deadline`] workers stage;
+/// attempt-budgeted workers (the stepped drivers and the TCP deployment) keep
 /// per-transaction batches, preserving the chaos corpus's
 /// message-granularity determinism (per-send fault rolls, highest-TID
 /// corrupt targeting).
@@ -211,39 +354,72 @@ pub fn append_writes_to_wal(
     }
 }
 
-/// Executes one single-partition transaction on `partition`'s effective
-/// primary: generate → execute → lock-free commit → record → replicate to
-/// `targets` → WAL. Shared by the threaded and stepped partitioned phases and
-/// by the TCP deployment, so the backends cannot drift. Returns `true` if the
-/// transaction committed.
-#[allow(clippy::too_many_arguments)]
-pub fn run_one_partitioned_txn(
-    partition: PartitionId,
-    primary: NodeId,
+/// Counts a failed execution as a user abort or a concurrency-control abort.
+fn count_abort(error: &Error, counters: &RunCounters) {
+    match error {
+        Error::Abort(star_common::AbortReason::User) => counters.add_user_abort(),
+        _ => counters.add_abort(),
+    }
+}
+
+/// What every committed transaction does before its WAL append: record it
+/// in the history (when attached), then replicate each write to those of
+/// `targets` that hold the written partition — staged, or as one batch per
+/// target. Entries are encoded once; the per-target filter routes on the
+/// mirrored partition header, so no payload is cloned or re-encoded.
+fn record_and_replicate(
+    env: &PhaseEnv<'_>,
+    phase: ExecutionPhase,
+    executor: u64,
+    reads: Option<ReadSet>,
+    output: &CommitOutput,
     targets: &[NodeId],
-    db: &Database,
-    transport: &dyn Transport<ReplicationBatch>,
-    workload: &dyn Workload,
-    counters: &RunCounters,
-    wal: Option<&Mutex<WalWriter>>,
-    history: Option<&HistoryRecorder>,
-    epoch: Epoch,
-    strategy: ReplicationStrategy,
+    mut stage: Option<&mut ReplicationStage>,
+) {
+    let (tid, writes) = (output.tid, &output.write_set);
+    if let Some(history) = env.history {
+        let reads = reads.as_deref().unwrap_or(&[]);
+        history.record(CommittedTxn::from_sets(env.epoch, phase, executor, tid, reads, writes));
+    }
+    let entries = build_log_entries(writes, tid, env.config.replication_strategy, phase);
+    if entries.is_empty() {
+        return;
+    }
+    let encoded = EncodedEntry::encode_all(entries);
+    for &target in targets {
+        let relevant =
+            encoded.iter().filter(|e| env.config.node_stores_partition(target, e.partition()));
+        match stage.as_deref_mut() {
+            Some(stage) => relevant.for_each(|e| stage.push(target, e.clone())),
+            None => {
+                let entries: Vec<EncodedEntry> = relevant.cloned().collect();
+                if entries.is_empty() {
+                    continue;
+                }
+                let batch = ReplicationBatch { from_node: env.node, epoch: env.epoch, entries };
+                env.counters.add_replication_bytes(batch.wire_size() as u64);
+                let _ = env.transport.send(target, batch);
+            }
+        }
+    }
+}
+
+/// Executes one single-partition transaction on `partition`'s effective
+/// primary `env.node`: generate → execute → lock-free commit → record →
+/// replicate to `targets` → WAL. Returns `true` if the transaction committed.
+fn run_one_partitioned_txn(
+    env: &PhaseEnv<'_>,
+    partition: PartitionId,
+    targets: &[NodeId],
     state: &mut PartitionWorkerState,
     stage: Option<&mut ReplicationStage>,
 ) -> bool {
+    let PhaseEnv { db, workload, counters, wal, history, epoch, .. } = *env;
     let proc = workload.single_partition_transaction(&mut state.rng, partition);
     let mut ctx = TxnCtx::new_single_threaded(db);
-    match proc.execute(&mut ctx) {
-        Ok(()) => {}
-        Err(Error::Abort(star_common::AbortReason::User)) => {
-            counters.add_user_abort();
-            return false;
-        }
-        Err(_) => {
-            counters.add_abort();
-            return false;
-        }
+    if let Err(error) = proc.execute(&mut ctx) {
+        count_abort(&error, counters);
+        return false;
     }
     let (read_set, write_set) = ctx.into_sets();
     let recorded_reads = history.map(|_| read_set.clone());
@@ -251,38 +427,9 @@ pub fn run_one_partitioned_txn(
         counters.add_abort();
         return false;
     };
-    if let Some(history) = history {
-        history.record(CommittedTxn::from_sets(
-            epoch,
-            ExecutionPhase::Partitioned,
-            partition as u64,
-            output.tid,
-            recorded_reads.as_deref().unwrap_or(&[]),
-            &output.write_set,
-        ));
-    }
-    let entries =
-        build_log_entries(&output.write_set, output.tid, strategy, ExecutionPhase::Partitioned);
-    if !entries.is_empty() {
-        // Encode once; every replica target shares the same buffers.
-        let encoded = EncodedEntry::encode_all(entries);
-        match stage {
-            Some(stage) => {
-                for &target in targets {
-                    for entry in &encoded {
-                        stage.push(target, entry.clone());
-                    }
-                }
-            }
-            None => {
-                let batch = ReplicationBatch { from_node: primary, epoch, entries: encoded };
-                for &target in targets {
-                    counters.add_replication_bytes(batch.wire_size() as u64);
-                    let _ = transport.send(target, batch.clone());
-                }
-            }
-        }
-    }
+    let executor = partition as u64;
+    let phase = ExecutionPhase::Partitioned;
+    record_and_replicate(env, phase, executor, recorded_reads, &output, targets, stage);
     if let Some(wal) = wal {
         append_writes_to_wal(wal, &output.write_set, output.tid, counters);
     }
@@ -290,42 +437,25 @@ pub fn run_one_partitioned_txn(
     true
 }
 
-/// Executes one cross-partition transaction on the master under Silo OCC:
-/// generate → execute → validate/commit → record → replicate the relevant
-/// entries to every healthy node → (optionally) wait out synchronous
-/// replication → WAL. Shared by the threaded and stepped single-master
-/// phases and by the TCP deployment, so the backends cannot drift. Returns
-/// `true` on commit.
-#[allow(clippy::too_many_arguments)]
-pub fn run_one_master_txn(
+/// Executes one cross-partition transaction on the master `env.node` under
+/// Silo OCC: generate → execute → validate/commit → record → replicate the
+/// relevant entries to every `healthy` peer → (optionally) wait out
+/// synchronous replication → WAL. Returns `true` on commit.
+fn run_one_master_txn(
+    env: &PhaseEnv<'_>,
     worker_id: usize,
-    master: NodeId,
     healthy: &[NodeId],
-    config: &ClusterConfig,
-    db: &Database,
-    transport: &dyn Transport<ReplicationBatch>,
-    workload: &dyn Workload,
-    counters: &RunCounters,
-    wal: Option<&Mutex<WalWriter>>,
-    history: Option<&HistoryRecorder>,
-    epoch: Epoch,
     state: &mut MasterWorkerState,
     stage: Option<&mut ReplicationStage>,
 ) -> bool {
+    let PhaseEnv { config, db, workload, counters, wal, history, epoch, .. } = *env;
     use rand::Rng;
     let home = (state.rng.gen::<usize>() ^ worker_id) % config.partitions;
     let proc = workload.cross_partition_transaction(&mut state.rng, home);
     let mut ctx = TxnCtx::new(db);
-    match proc.execute(&mut ctx) {
-        Ok(()) => {}
-        Err(Error::Abort(star_common::AbortReason::User)) => {
-            counters.add_user_abort();
-            return false;
-        }
-        Err(_) => {
-            counters.add_abort();
-            return false;
-        }
+    if let Err(error) = proc.execute(&mut ctx) {
+        count_abort(&error, counters);
+        return false;
     }
     let (read_set, write_set) = ctx.into_sets();
     let recorded_reads = history.map(|_| read_set.clone());
@@ -342,51 +472,9 @@ pub fn run_one_master_txn(
             return false;
         }
     };
-    if let Some(history) = history {
-        history.record(CommittedTxn::from_sets(
-            epoch,
-            ExecutionPhase::SingleMaster,
-            MASTER_EXECUTOR_OFFSET + worker_id as u64,
-            output.tid,
-            recorded_reads.as_deref().unwrap_or(&[]),
-            &output.write_set,
-        ));
-    }
-    let entries = build_log_entries(
-        &output.write_set,
-        output.tid,
-        config.replication_strategy,
-        ExecutionPhase::SingleMaster,
-    );
-    // Encode once; per-target relevance filtering routes on the mirrored
-    // partition header, so no payload is ever cloned or re-encoded.
-    let encoded = EncodedEntry::encode_all(entries);
-    match stage {
-        Some(stage) => {
-            for &target in healthy {
-                for entry in &encoded {
-                    if config.node_stores_partition(target, entry.partition()) {
-                        stage.push(target, entry.clone());
-                    }
-                }
-            }
-        }
-        None => {
-            for &target in healthy {
-                let relevant: Vec<EncodedEntry> = encoded
-                    .iter()
-                    .filter(|e| config.node_stores_partition(target, e.partition()))
-                    .cloned()
-                    .collect();
-                if relevant.is_empty() {
-                    continue;
-                }
-                let batch = ReplicationBatch { from_node: master, epoch, entries: relevant };
-                counters.add_replication_bytes(batch.wire_size() as u64);
-                let _ = transport.send(target, batch);
-            }
-        }
-    }
+    let executor = MASTER_EXECUTOR_OFFSET + worker_id as u64;
+    let phase = ExecutionPhase::SingleMaster;
+    record_and_replicate(env, phase, executor, recorded_reads, &output, healthy, stage);
     if config.replication_mode == ReplicationMode::Sync && !healthy.is_empty() {
         // Synchronous replication: the write locks are held for a round trip
         // to the replicas before the transaction can release them.
@@ -447,6 +535,25 @@ mod tests {
         db
     }
 
+    fn env<'a>(
+        config: &'a ClusterConfig,
+        db: &'a Database,
+        workload: &'a KvWorkload,
+        counters: &'a RunCounters,
+    ) -> PhaseEnv<'a> {
+        PhaseEnv {
+            config,
+            node: 0,
+            epoch: 1,
+            db,
+            transport: &NullTransport,
+            workload,
+            counters,
+            wal: None,
+            history: None,
+        }
+    }
+
     #[test]
     fn partition_fast_forward_matches_really_executed_attempts() {
         let config = config();
@@ -461,17 +568,9 @@ mod tests {
         let mut executed = PartitionWorkerState::new(&config, 0);
         for _ in 0..n {
             run_one_partitioned_txn(
-                0,
+                &env(&config, &db, &workload, &counters),
                 0,
                 &[],
-                &db,
-                &NullTransport,
-                &workload,
-                &counters,
-                None,
-                None,
-                1,
-                ReplicationStrategy::Operation,
                 &mut executed,
                 None,
             );
@@ -493,17 +592,9 @@ mod tests {
         let mut executed = MasterWorkerState::new(&config, 1);
         for _ in 0..n {
             run_one_master_txn(
+                &env(&config, &db, &workload, &counters),
                 1,
-                0,
                 &[],
-                &config,
-                &db,
-                &NullTransport,
-                &workload,
-                &counters,
-                None,
-                None,
-                1,
                 &mut executed,
                 None,
             );

@@ -18,9 +18,11 @@
 //! * [`engine`] — the phase-switching execution loop itself: partitioned
 //!   phase, replication fence, single-master phase, replication fence,
 //!   epoch advancement, statistics.
-//! * [`exec`] — the per-transaction execution paths shared by the in-process
-//!   engine and the TCP deployment (`star-serverd`), parameterized over the
-//!   [`star_net::Transport`] seam.
+//! * [`protocol`] — the protocol rules every shell calls: the fence decision,
+//!   the master election, failover routing and the recovery-source rule.
+//! * [`exec`] — the phase-worker loop and per-transaction execution paths
+//!   shared by the in-process engine and the TCP deployment (`star-serverd`),
+//!   parameterized over the [`star_net::Transport`] seam.
 //! * [`failure`] — failure-scenario classification (the four recovery cases
 //!   of Section 4.5.3), epoch revert and node recovery.
 //! * [`history`] — optional committed-history recording (epoch-buffered, so
@@ -43,14 +45,16 @@ pub mod history;
 pub mod messages;
 pub mod model;
 pub mod phase;
+pub mod protocol;
 pub mod testing;
 pub mod workload;
 
 pub use cluster::StarCluster;
-pub use engine::{InterruptedRecovery, MasterElection, RecoveryFault, StarEngine, SyncReplication};
+pub use engine::{InterruptedRecovery, RecoveryFault, StarEngine, SyncReplication};
 pub use engine_api::Engine;
 pub use failure::{FailureCase, FailureVectorMismatch};
 pub use history::{CommittedTxn, HistoryRecorder, RecordedRead, RecordedWrite};
 pub use model::AnalyticalModel;
 pub use phase::PhasePlan;
+pub use protocol::{ElectionLog, FenceDecision, MasterElection, ProtocolState};
 pub use workload::{Workload, WorkloadMix};

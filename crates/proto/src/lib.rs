@@ -34,8 +34,8 @@ pub use frame::{
 };
 pub use io::{read_message, write_message};
 pub use message::{
-    decode_entries, encode_elections, encode_entries, encode_history, replication_frame,
-    replication_frame_encoded, AdminQuery, Request, Response, Role, WireElection, WireMessage,
-    WirePhase, WireRecord, WireStatus, WireTxn,
+    decode_entries, encode_elections, encode_entries, encode_history, failed_flags, failed_ids,
+    replication_frame, replication_frame_encoded, AdminQuery, Request, Response, Role,
+    WireElection, WireMessage, WirePhase, WireRecord, WireStatus, WireTxn,
 };
 pub use stream::FrameBuffer;

@@ -463,6 +463,24 @@ pub fn decode_entries(block: &[u8]) -> Result<Vec<LogEntry>, DecodeError> {
 // Requests and responses
 // ---------------------------------------------------------------------------
 
+/// The wire form of a failure picture (per-node flags): the ids of the
+/// failed nodes, ascending — what `RunPhase`, `Fence` and `Rejoin` carry.
+pub fn failed_ids(failed: &[bool]) -> Vec<u32> {
+    failed.iter().enumerate().filter_map(|(n, &f)| f.then_some(n as u32)).collect()
+}
+
+/// Expands a wire failed-node-id list into per-node flags for a cluster of
+/// `num_nodes`; ids outside the cluster are ignored.
+pub fn failed_flags(num_nodes: usize, ids: &[u32]) -> Vec<bool> {
+    let mut flags = vec![false; num_nodes];
+    for &id in ids {
+        if let Some(flag) = flags.get_mut(id as usize) {
+            *flag = true;
+        }
+    }
+    flags
+}
+
 /// A client / coordinator / admin request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {

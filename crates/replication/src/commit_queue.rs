@@ -16,7 +16,7 @@
 //! still tracked per *epoch*: an epoch counts as drained only when every one
 //! of its jobs has finished and every earlier epoch has drained too.
 //!
-//! Three modes cover the three callers:
+//! Two modes cover the callers:
 //!
 //! * [`DrainMode::Background`] — the worker pool drains jobs as they are
 //!   submitted; the timed benchmark path uses this to overlap the drain with
@@ -26,8 +26,6 @@
 //!   harness use this: the drain of epoch `N` deterministically completes at
 //!   the *next* fence (or at a quiesce), so replays are bit-identical while
 //!   still exercising the pipelined ordering.
-//! * [`DrainMode::Immediate`] — submit executes inline; the pre-pipelining
-//!   behaviour, kept for A/B comparison.
 //!
 //! The queue uses `std::sync` primitives because the drain workers must
 //! sleep on a condition variable, which the vendored `parking_lot` stub does
@@ -45,8 +43,6 @@ use std::time::Instant;
 /// How a [`CommitQueue`] executes submitted drains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DrainMode {
-    /// Run each drain inline at submission (no pipelining).
-    Immediate,
     /// Queue drains; the caller pumps them at deterministic points.
     Deferred,
     /// A pool of background worker threads drains jobs as they arrive.
@@ -276,31 +272,18 @@ impl CommitQueue {
         }
     }
 
-    /// Submits a drain. In [`DrainMode::Immediate`] it runs before this
-    /// returns; otherwise its jobs run on the pool (Background) or at the
+    /// Submits a drain. Its jobs run on the pool (Background) or at the
     /// next pump (Deferred).
     pub fn submit(&self, drain: EpochDrain) {
         let epoch = drain.epoch;
         let jobs = drain.into_jobs();
-        match self.mode {
-            DrainMode::Immediate => {
-                for job in jobs {
-                    job.run(&self.counters);
-                }
-                let mut state = self.shared.state.lock().expect("commit queue poisoned");
-                state.submitted = state.submitted.max(epoch);
-                state.completed = state.completed.max(epoch);
-            }
-            DrainMode::Deferred | DrainMode::Background => {
-                let mut state = self.shared.state.lock().expect("commit queue poisoned");
-                state.submitted = state.submitted.max(epoch);
-                state.remaining.insert(epoch, jobs.len());
-                state.jobs.extend(jobs);
-                state.advance_watermark();
-                drop(state);
-                self.shared.cond.notify_all();
-            }
-        }
+        let mut state = self.shared.state.lock().expect("commit queue poisoned");
+        state.submitted = state.submitted.max(epoch);
+        state.remaining.insert(epoch, jobs.len());
+        state.jobs.extend(jobs);
+        state.advance_watermark();
+        drop(state);
+        self.shared.cond.notify_all();
     }
 
     /// Runs every queued drain on the calling thread (Deferred mode). In
@@ -308,7 +291,6 @@ impl CommitQueue {
     /// same: on return, everything submitted so far has completed.
     pub fn quiesce(&self) {
         match self.mode {
-            DrainMode::Immediate => {}
             DrainMode::Deferred => self.pump_all(),
             DrainMode::Background => {
                 let submitted = self.shared.state.lock().expect("commit queue poisoned").submitted;
@@ -320,7 +302,6 @@ impl CommitQueue {
     /// Ensures the drain of `epoch` (and everything before it) has completed.
     pub fn wait_for(&self, epoch: Epoch) {
         match self.mode {
-            DrainMode::Immediate => {}
             DrainMode::Deferred => {
                 loop {
                     let job = {
@@ -443,16 +424,6 @@ mod tests {
 
     fn value_of(db: &Database) -> u64 {
         db.get(0, 0, 1).unwrap().read().row.field(0).unwrap().as_u64().unwrap()
-    }
-
-    #[test]
-    fn immediate_mode_runs_at_submit() {
-        let counters = Arc::new(RunCounters::new());
-        let queue = CommitQueue::new(DrainMode::Immediate, Arc::clone(&counters));
-        let db = replica();
-        queue.submit(drain_writing(1, &db, 7));
-        assert_eq!(value_of(&db), 7);
-        assert!(queue.pending_epochs().is_empty());
     }
 
     #[test]

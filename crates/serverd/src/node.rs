@@ -23,11 +23,11 @@
 //! A `Fence { epoch, expected, failed }` request carries, for every sender
 //! `s`, the cumulative number of batches `s` has shipped to this node, plus
 //! the coordinator's current failure picture. The fence waits until the
-//! arrival counters catch up, and then mirrors the simulated engine's
-//! fence exactly: a *newly* failed node makes it revert the in-flight epoch
-//! (the crash discarded it cluster-wide) and drop that epoch's queued
-//! batches, the deterministic master election re-runs (lowest-id healthy
-//! full replica), surviving batches are applied in arrival order (disjoint
+//! arrival counters catch up, and then calls the same protocol code as the
+//! simulated engine's fence (`star_core::protocol`): a *newly* failed node
+//! makes it revert the in-flight epoch (the crash discarded it cluster-wide)
+//! and drop that epoch's queued batches, the deterministic master election
+//! re-runs, surviving batches are applied in arrival order (disjoint
 //! partitions in the partitioned phase and the Thomas write rule in the
 //! single-master phase make cross-link ordering irrelevant), the epoch's
 //! history is finalized as committed or reverted, and the epoch advances.
@@ -49,19 +49,21 @@ use bytes::{BufMut, BytesMut};
 use star_common::stats::RunCounters;
 use star_common::Tid;
 use star_common::{ClusterConfig, Epoch, NodeId, PartitionId, Result};
+use star_core::cluster::build_replica;
 use star_core::exec::{
-    run_one_master_txn, run_one_partitioned_txn, MasterWorkerState, PartitionWorkerState,
+    run_master_worker, run_partition_worker, Budget, MasterWorkerState, PartitionWorkerState,
+    PhaseEnv,
 };
 use star_core::history::HistoryRecorder;
 use star_core::messages::ReplicationBatch;
+use star_core::protocol::{self, ElectionLog, ProtocolState};
 use star_core::workload::Workload;
-use star_core::MasterElection;
 use star_proto::{
-    write_message, AdminQuery, FrameBuffer, Request, Response, WireElection, WireMessage,
-    WirePhase, WireRecord, WireStatus, WireTxn,
+    failed_flags, write_message, AdminQuery, FrameBuffer, Request, Response, WireElection,
+    WireMessage, WirePhase, WireRecord, WireStatus, WireTxn,
 };
 use star_replication::encode_row;
-use star_storage::{Database, DatabaseBuilder};
+use star_storage::Database;
 use std::collections::BTreeMap;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
@@ -75,15 +77,14 @@ pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// How long a fence waits for in-flight replication before giving up.
 const FENCE_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Per-worker execution state behind one mutex: the stepped phases are
-/// single-threaded per node, exactly like the engine's stepped driver.
+/// Protocol and per-worker execution state behind one mutex: the stepped
+/// phases are single-threaded per node, exactly like the engine's stepped
+/// driver.
 struct EngineState {
-    epoch: Epoch,
-    last_committed: Epoch,
+    /// Epochs, the failure picture as told by fences, and the election log.
+    protocol: ProtocolState,
     partition_workers: BTreeMap<PartitionId, PartitionWorkerState>,
     master_workers: Vec<MasterWorkerState>,
-    /// The node's view of which peers are failed, as told by fences.
-    failed: Vec<bool>,
     /// Cumulative transaction attempts this node's partition workers have
     /// actually executed (== RNG generations consumed). Compared against the
     /// supervisor's cluster-wide baselines to fast-forward on takeover.
@@ -106,7 +107,6 @@ pub(crate) struct NodeInner {
     engine: Mutex<EngineState>,
     inbox: Mutex<Vec<ReplicationBatch>>,
     recv_counts: Vec<AtomicU64>,
-    elections: Mutex<Vec<MasterElection>>,
     shutdown: AtomicBool,
 }
 
@@ -124,30 +124,6 @@ impl std::fmt::Debug for NodeServer {
             .field("addr", &self.addr)
             .finish()
     }
-}
-
-/// Builds node `id`'s database replica exactly as the simulated cluster
-/// does: full replicas hold everything, partial replicas hold the partitions
-/// they are primary or secondary for, and every held partition is loaded
-/// from the workload's deterministic initial state.
-fn build_replica(config: &ClusterConfig, workload: &dyn Workload, id: NodeId) -> Arc<Database> {
-    let mut builder = DatabaseBuilder::new(config.partitions);
-    for spec in workload.catalog() {
-        builder = builder.table(spec);
-    }
-    if !config.is_full_replica(id) {
-        let held: Vec<PartitionId> = (0..config.partitions)
-            .filter(|p| {
-                config.partition_primary(*p) == id || config.partition_secondary(*p) == Some(id)
-            })
-            .collect();
-        builder = builder.holding(held);
-    }
-    let db = Arc::new(builder.build());
-    for p in db.held_partitions() {
-        workload.load_partition(&db, p);
-    }
-    db
 }
 
 /// A commutative digest of a replica: per-record FNV-1a over the canonical
@@ -212,7 +188,6 @@ impl NodeServer {
     ) -> Result<NodeServer> {
         config.validate().map_err(star_common::Error::Config)?;
         let db = build_replica(&config, workload.as_ref(), id);
-        let initial_master = (config.full_replicas > 0).then(|| config.master_node());
         let fallback_addr = addrs.get(id).cloned().unwrap_or_default();
         let inner = Arc::new(NodeInner {
             node: id,
@@ -224,23 +199,16 @@ impl NodeServer {
             counters: RunCounters::new(),
             history: Arc::new(HistoryRecorder::new()),
             engine: Mutex::new(EngineState {
-                epoch: 1,
-                last_committed: 0,
+                protocol: ProtocolState::new(&config),
                 partition_workers: BTreeMap::new(),
                 master_workers: (0..config.workers_per_node)
                     .map(|w| MasterWorkerState::new(&config, w))
                     .collect(),
-                failed: vec![false; config.num_nodes],
                 partition_attempts: BTreeMap::new(),
                 master_attempts: vec![0; config.workers_per_node],
             }),
             inbox: Mutex::new(Vec::new()),
             recv_counts: (0..config.num_nodes).map(|_| AtomicU64::new(0)).collect(),
-            elections: Mutex::new(vec![MasterElection {
-                epoch: 0,
-                master: initial_master,
-                generation: 0,
-            }]),
             shutdown: AtomicBool::new(false),
         });
         let addr = listener.local_addr().map(|a| a.to_string()).unwrap_or(fallback_addr);
@@ -437,32 +405,6 @@ fn handle_get(inner: &NodeInner, table: u32, partition: PartitionId, key: u64) -
     }
 }
 
-/// Expands the wire's failed-node-id list into per-node flags.
-fn failed_flags(num_nodes: usize, failed_ids: &[u32]) -> Vec<bool> {
-    let mut flags = vec![false; num_nodes];
-    for &id in failed_ids {
-        if let Some(flag) = flags.get_mut(id as usize) {
-            *flag = true;
-        }
-    }
-    flags
-}
-
-/// The engine's failover routing: the configured primary while it is
-/// healthy, otherwise the lowest-id healthy replica holding the partition.
-fn effective_primary(
-    config: &ClusterConfig,
-    failed: &[bool],
-    partition: PartitionId,
-) -> Option<NodeId> {
-    let primary = config.partition_primary(partition);
-    if failed.get(primary) == Some(&false) {
-        return Some(primary);
-    }
-    (0..config.num_nodes)
-        .find(|&n| failed.get(n) == Some(&false) && config.node_stores_partition(n, partition))
-}
-
 fn handle_run_phase(
     inner: &NodeInner,
     phase: WirePhase,
@@ -472,10 +414,11 @@ fn handle_run_phase(
     failed_ids: &[u32],
 ) -> Response {
     let mut engine_guard = inner.engine.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    if engine_guard.epoch != epoch {
+    if engine_guard.protocol.epoch() != epoch {
         return Response::Error(format!(
             "phase for epoch {epoch} but node {} is at epoch {}",
-            inner.node, engine_guard.epoch
+            inner.node,
+            engine_guard.protocol.epoch()
         ));
     }
     let failed = failed_flags(inner.config.num_nodes, failed_ids);
@@ -488,6 +431,21 @@ fn handle_run_phase(
         }
     };
     Response::PhaseDone { committed, sent: inner.mesh.sent_counts() }
+}
+
+/// The execution environment of this node's phase workers in `epoch`.
+fn phase_env(inner: &NodeInner, epoch: Epoch) -> PhaseEnv<'_> {
+    PhaseEnv {
+        config: &inner.config,
+        node: inner.node,
+        epoch,
+        db: &inner.db,
+        transport: &inner.mesh,
+        workload: inner.workload.as_ref(),
+        counters: &inner.counters,
+        wal: None,
+        history: Some(&inner.history),
+    }
 }
 
 /// The stepped partitioned phase, restricted to the partitions this node is
@@ -505,17 +463,14 @@ fn run_partitioned(
     failed: &[bool],
 ) -> u64 {
     let config = &inner.config;
+    let env = phase_env(inner, epoch);
     let EngineState { partition_workers, partition_attempts, .. } = engine_state;
     let mut committed = 0u64;
     for partition in 0..config.partitions {
-        if effective_primary(config, failed, partition) != Some(inner.node) {
+        if protocol::effective_primary(config, failed, partition) != Some(inner.node) {
             continue;
         }
-        let targets: Vec<NodeId> = (0..config.num_nodes)
-            .filter(|&n| {
-                n != inner.node && !failed[n] && config.node_stores_partition(n, partition)
-            })
-            .collect();
+        let targets = protocol::replica_targets(config, failed, inner.node, partition);
         let worker = partition_workers
             .entry(partition)
             .or_insert_with(|| PartitionWorkerState::new(config, partition));
@@ -526,25 +481,8 @@ fn run_partitioned(
                 *attempts = baseline;
             }
         }
-        for _ in 0..txns {
-            if run_one_partitioned_txn(
-                partition,
-                inner.node,
-                &targets,
-                &inner.db,
-                &inner.mesh,
-                inner.workload.as_ref(),
-                &inner.counters,
-                None,
-                Some(&inner.history),
-                epoch,
-                config.replication_strategy,
-                worker,
-                None,
-            ) {
-                committed += 1;
-            }
-        }
+        let budget = Budget::Attempts(txns);
+        committed += run_partition_worker(budget, &env, partition, &targets, worker).committed;
         *attempts += txns;
     }
     committed
@@ -561,18 +499,13 @@ fn run_single_master(
     baselines: &[u64],
     failed: &[bool],
 ) -> u64 {
-    let elected = {
-        let elections_guard =
-            inner.elections.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        elections_guard.last().and_then(|e| e.master)
-    };
-    if elected != Some(inner.node) {
+    if engine_state.protocol.master() != Some(inner.node) {
         return 0;
     }
     let config = &inner.config;
+    let env = phase_env(inner, epoch);
     let EngineState { master_workers, master_attempts, .. } = engine_state;
-    let healthy: Vec<NodeId> =
-        (0..config.num_nodes).filter(|&n| n != inner.node && !failed[n]).collect();
+    let healthy = protocol::healthy_peers(failed, inner.node);
     let mut committed = 0u64;
     for (worker_id, worker) in master_workers.iter_mut().enumerate() {
         let attempts = &mut master_attempts[worker_id];
@@ -587,25 +520,8 @@ fn run_single_master(
                 *attempts = baseline;
             }
         }
-        for _ in 0..txns {
-            if run_one_master_txn(
-                worker_id,
-                inner.node,
-                &healthy,
-                config,
-                &inner.db,
-                &inner.mesh,
-                inner.workload.as_ref(),
-                &inner.counters,
-                None,
-                Some(&inner.history),
-                epoch,
-                worker,
-                None,
-            ) {
-                committed += 1;
-            }
-        }
+        let budget = Budget::Attempts(txns);
+        committed += run_master_worker(budget, &env, worker_id, &healthy, worker).committed;
         *attempts += txns;
     }
     committed
@@ -638,39 +554,19 @@ fn handle_fence(inner: &NodeInner, epoch: Epoch, expected: &[u64], failed_ids: &
     }
 
     let mut engine_guard = inner.engine.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    if engine_guard.epoch != epoch {
+    let protocol = &mut engine_guard.protocol;
+    if protocol.epoch() != epoch {
         return Response::Error(format!(
             "fence for epoch {epoch} but node {} is at epoch {}",
-            inner.node, engine_guard.epoch
+            inner.node,
+            protocol.epoch()
         ));
     }
-    let failed = failed_flags(inner.config.num_nodes, failed_ids);
     // A node that newly appears in the failure picture crashed inside this
-    // epoch: the cluster discards the in-flight epoch, exactly like the
-    // engine's replication fence.
-    let reverting = (0..inner.config.num_nodes).any(|n| failed[n] && !engine_guard.failed[n]);
-    if reverting {
-        inner.db.revert_to_epoch(engine_guard.last_committed);
-    }
-    engine_guard.failed = failed.clone();
-
-    // Deterministic master election: lowest-id healthy full replica wins; a
-    // new log entry appears only when the winner actually changes.
-    {
-        let winner = (0..inner.config.full_replicas).find(|&n| !failed[n]);
-        let mut elections_guard =
-            inner.elections.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        let (last_master, last_generation) = match elections_guard.last() {
-            Some(e) => (e.master, e.generation),
-            None => (None, 0),
-        };
-        if winner != last_master {
-            elections_guard.push(MasterElection {
-                epoch,
-                master: winner,
-                generation: last_generation + 1,
-            });
-        }
+    // epoch: the cluster discards the in-flight epoch.
+    let decision = protocol.fence(&failed_flags(inner.config.num_nodes, failed_ids));
+    if decision.reverting {
+        inner.db.revert_to_epoch(decision.revert_to);
     }
 
     let batches = {
@@ -679,12 +575,7 @@ fn handle_fence(inner: &NodeInner, epoch: Epoch, expected: &[u64], failed_ids: &
     };
     let mut applied = 0u64;
     for batch in batches {
-        // Skip traffic from failed senders, and — when reverting — anything
-        // shipped inside the epoch being discarded.
-        if failed[batch.from_node] {
-            continue;
-        }
-        if reverting && batch.epoch > engine_guard.last_committed {
+        if !protocol.admits(batch.from_node, batch.epoch, &decision) {
             continue;
         }
         for entry in batch.entries {
@@ -694,12 +585,7 @@ fn handle_fence(inner: &NodeInner, epoch: Epoch, expected: &[u64], failed_ids: &
             }
         }
     }
-    inner.history.finalize_epoch(epoch, !reverting);
-    // The engine advances `last_committed` even past a reverted epoch — the
-    // revert already discarded its records, and the next epoch builds on the
-    // surviving state. Matched here so digests and rebases line up.
-    engine_guard.last_committed = epoch;
-    engine_guard.epoch = epoch + 1;
+    inner.history.finalize_epoch(epoch, !decision.reverting);
     Response::FenceDone { epoch, applied }
 }
 
@@ -778,19 +664,15 @@ fn handle_rejoin(
             recv_base.len()
         ));
     }
-    if elections.is_empty() {
+    let Some(elections) =
+        ElectionLog::from_entries(elections.into_iter().map(WireElection::to_election).collect())
+    else {
         return Response::Error("rejoin needs a non-empty election log".to_string());
-    }
+    };
     {
         let mut engine_guard = inner.engine.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        engine_guard.epoch = epoch;
-        engine_guard.last_committed = last_committed;
-        engine_guard.failed = failed_flags(inner.config.num_nodes, failed_ids);
-    }
-    {
-        let mut elections_guard =
-            inner.elections.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        *elections_guard = elections.into_iter().map(WireElection::to_election).collect();
+        let failed = failed_flags(inner.config.num_nodes, failed_ids);
+        engine_guard.protocol.rejoin(epoch, last_committed, failed, elections);
     }
     for (sender, &count) in recv_base.iter().enumerate() {
         inner.recv_counts[sender].store(count, Ordering::SeqCst);
@@ -803,33 +685,22 @@ fn handle_rejoin(
 fn handle_admin(inner: &NodeInner, query: AdminQuery) -> Response {
     match query {
         AdminQuery::Status => {
-            let (epoch, last_committed) = {
-                let engine_guard =
-                    inner.engine.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-                (engine_guard.epoch, engine_guard.last_committed)
-            };
-            let (elected, generation) = {
-                let elections_guard =
-                    inner.elections.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-                match elections_guard.last() {
-                    Some(e) => (e.master, e.generation),
-                    None => (None, 0),
-                }
-            };
+            let engine_guard = inner.engine.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+            let protocol = &engine_guard.protocol;
             Response::Status(WireStatus {
                 node: inner.node as u32,
-                epoch,
-                last_committed,
-                master: elected.map(|m| m as i64).unwrap_or(-1),
-                generation,
+                epoch: protocol.epoch(),
+                last_committed: protocol.last_committed(),
+                master: protocol.elections().current().map(|m| m as i64).unwrap_or(-1),
+                generation: protocol.elections().generation(),
                 committed: inner.counters.snapshot().committed,
                 full_replica: inner.db.is_full_replica(),
             })
         }
         AdminQuery::Elections => {
-            let elections_guard =
-                inner.elections.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            Response::Elections(elections_guard.iter().map(WireElection::from_election).collect())
+            let engine_guard = inner.engine.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+            let log = engine_guard.protocol.elections().entries();
+            Response::Elections(log.iter().map(WireElection::from_election).collect())
         }
         AdminQuery::History => {
             let committed = inner.history.committed();

@@ -4,9 +4,11 @@
 //! trajectories byte-for-byte.
 //!
 //! The runner plays the role the simulated engine's control loop plays in
-//! `star_chaos::run_plan`: it owns the epoch counter, the failure picture,
-//! the deterministic election mirror and the cumulative per-executor
-//! transaction baselines, and lowers every schedule op to wire actions —
+//! `star_chaos::run_plan`: it owns the failure picture, a
+//! [`ProtocolState`] that holds the epoch counter and the election log (the
+//! same fence and election code the engine and every node run), and the
+//! cumulative per-executor transaction baselines, and lowers every schedule
+//! op to wire actions —
 //! `Crash` becomes a real process/server kill at the detecting fence (see
 //! [`crate::lower`]), `Recover` becomes a restart plus a catch-up copy
 //! over `FetchPartition`/`InstallRecords` plus a `Rejoin`, and link ops
@@ -18,7 +20,7 @@
 //!   sorted by `(epoch, executor)`, must be byte-identical to the twin's
 //!   under `encode_history`;
 //! * every live node's election log must be byte-identical to the twin's
-//!   under `encode_elections` (and to the runner's own mirror);
+//!   under `encode_elections` (and to the runner's own log);
 //! * every live node's replica digest must equal the twin's replica of the
 //!   same node id;
 //! * the merged wire history must pass the serializability checker.
@@ -28,14 +30,16 @@ use crate::control::Conn;
 use crate::lower::lower_schedule;
 use crate::proxy::ProxyMesh;
 use star_chaos::{check_history, ChaosPlan, FaultOp, FaultSchedule, InjectionPoint, WorkloadSpec};
-use star_common::{ClusterConfig, Epoch};
+use star_common::ClusterConfig;
 use star_core::history::CommittedTxn;
+use star_core::protocol::{self, ProtocolState};
 use star_core::testing::KvWorkload;
 use star_core::{
     FailureCase, HistoryRecorder, MasterElection, RecoveryFault, StarEngine, Workload,
 };
 use star_proto::{
-    encode_elections, encode_history, AdminQuery, Request, Response, WireElection, WirePhase,
+    encode_elections, encode_history, failed_ids, AdminQuery, Request, Response, WireElection,
+    WirePhase,
 };
 use star_serverd::replica_digest;
 use star_workloads::{YcsbConfig, YcsbWorkload};
@@ -112,7 +116,7 @@ pub fn replay_plan(
         elections: wire_elections,
         digests: wire_digests,
         live,
-        mirror,
+        runner_elections,
         mut violations,
     } = runner.finish()?;
 
@@ -142,9 +146,9 @@ pub fn replay_plan(
     }
 
     let twin_elections = encode_elections(twin.elections());
-    if encode_elections(&mirror) != twin_elections {
+    if encode_elections(&runner_elections) != twin_elections {
         violations.push(format!(
-            "runner election mirror diverges from the twin: {mirror:?} vs {:?}",
+            "runner election log diverges from the twin: {runner_elections:?} vs {:?}",
             twin.elections()
         ));
     }
@@ -255,7 +259,7 @@ struct WireOutcome {
     elections: Vec<(usize, Vec<WireElection>)>,
     digests: Vec<(usize, (u64, u64))>,
     live: Vec<usize>,
-    mirror: Vec<MasterElection>,
+    runner_elections: Vec<MasterElection>,
     violations: Vec<String>,
 }
 
@@ -266,13 +270,12 @@ struct WireRunner<'a> {
     cluster: &'a mut dyn WireCluster,
     proxies: &'a ProxyMesh,
     config: ClusterConfig,
-    epoch: Epoch,
-    last_committed: Epoch,
+    /// The live failure picture: nodes are marked at kill and cleared at
+    /// recovery, and every request carries it.
     failed: Vec<bool>,
-    /// The runner's deterministic election mirror — same rule as the
-    /// engine: winner is the lowest-id healthy full replica; a new entry is
-    /// pushed only when the winner changes.
-    elections: Vec<MasterElection>,
+    /// The epoch counter and the election log, advanced by the same
+    /// `star_core::protocol` fence every node runs.
+    protocol: ProtocolState,
     /// Cumulative transaction attempts per partition / per master worker —
     /// the fast-forward baselines shipped with every `RunPhase`.
     partition_baselines: Vec<u64>,
@@ -302,7 +305,6 @@ impl<'a> WireRunner<'a> {
     ) -> Result<WireRunner<'a>, String> {
         let config = plan.config.clone();
         let n = config.num_nodes;
-        let initial_master = (config.full_replicas > 0).then(|| config.master_node());
         let mut conns = Vec::with_capacity(n);
         for node in 0..n {
             let addr = cluster.control_addr(node);
@@ -315,10 +317,8 @@ impl<'a> WireRunner<'a> {
             schedule,
             cluster,
             proxies,
-            epoch: 1,
-            last_committed: 0,
             failed: vec![false; n],
-            elections: vec![MasterElection { epoch: 0, master: initial_master, generation: 0 }],
+            protocol: ProtocolState::new(&config),
             partition_baselines: vec![0; config.partitions],
             master_baselines: vec![0; config.workers_per_node],
             last_sent: vec![vec![0; n]; n],
@@ -356,18 +356,10 @@ impl<'a> WireRunner<'a> {
         Ok(())
     }
 
-    fn failed_ids(&self) -> Vec<u32> {
-        self.failed.iter().enumerate().filter_map(|(n, &f)| f.then_some(n as u32)).collect()
-    }
-
     /// Whether the partitioned phase runs at all in the current failure
     /// picture — same gate as the engine (`FailureCase::available`).
     fn partitioned_available(&self) -> bool {
         FailureCase::classify(&self.config, &self.failed).map(|c| c.available()).unwrap_or(false)
-    }
-
-    fn current_master(&self) -> Option<usize> {
-        self.elections.last().and_then(|e| e.master)
     }
 
     fn request(&mut self, node: usize, body: Request) -> Result<Response, String> {
@@ -389,7 +381,7 @@ impl<'a> WireRunner<'a> {
         if txns == 0 || !self.partitioned_available() {
             return Ok(());
         }
-        let failed = self.failed_ids();
+        let failed = failed_ids(&self.failed);
         let baselines = self.partition_baselines.clone();
         for node in 0..self.config.num_nodes {
             if self.failed[node] {
@@ -399,7 +391,7 @@ impl<'a> WireRunner<'a> {
                 node,
                 Request::RunPhase {
                     phase: WirePhase::Partitioned,
-                    epoch: self.epoch,
+                    epoch: self.protocol.epoch(),
                     txns,
                     baselines: baselines.clone(),
                     failed: failed.clone(),
@@ -419,7 +411,7 @@ impl<'a> WireRunner<'a> {
     }
 
     fn run_single_master(&mut self, txns: u64) -> Result<(), String> {
-        let Some(master) = self.current_master() else { return Ok(()) };
+        let Some(master) = self.protocol.master() else { return Ok(()) };
         if txns == 0 {
             return Ok(());
         }
@@ -427,10 +419,10 @@ impl<'a> WireRunner<'a> {
             master,
             Request::RunPhase {
                 phase: WirePhase::SingleMaster,
-                epoch: self.epoch,
+                epoch: self.protocol.epoch(),
                 txns,
                 baselines: self.master_baselines.clone(),
-                failed: self.failed_ids(),
+                failed: failed_ids(&self.failed),
             },
         )?;
         match response {
@@ -526,10 +518,7 @@ impl<'a> WireRunner<'a> {
         if self.failed.get(node) != Some(&true) {
             return Ok(());
         }
-        let held: Vec<usize> = (0..self.config.partitions)
-            .filter(|&p| self.config.node_stores_partition(node, p))
-            .collect();
-        let Some(sources) = self.recovery_sources(node, &held) else {
+        if !protocol::can_recover(&self.config, &self.failed, node) {
             // Same typed failure (and violation phrasing) as the simulator
             // driver when no healthy replica can source the copy.
             self.violations.push(format!(
@@ -537,7 +526,12 @@ impl<'a> WireRunner<'a> {
                  partition it needs"
             ));
             return Ok(());
-        };
+        }
+        let sources: Vec<(usize, usize)> = protocol::held_partitions(&self.config, node)
+            .filter_map(|p| {
+                protocol::recovery_source(&self.config, &self.failed, node, p).map(|s| (p, s))
+            })
+            .collect();
         let addr = self.cluster.restart(node)?;
         self.proxies.set_target(node, &addr);
         if let (Some(offset), Some(sent)) =
@@ -551,7 +545,7 @@ impl<'a> WireRunner<'a> {
             *slot = Some(conn);
         }
 
-        for (partition, source) in held.iter().copied().zip(sources) {
+        for (partition, source) in sources {
             let records = match self
                 .request(source, Request::FetchPartition { partition: partition as u32 })?
             {
@@ -569,10 +563,16 @@ impl<'a> WireRunner<'a> {
         }
         self.proxies.set_node_failed(node, false);
         let rejoin = Request::Rejoin {
-            epoch: self.epoch,
-            last_committed: self.last_committed,
-            failed: self.failed_ids(),
-            elections: self.elections.iter().map(WireElection::from_election).collect(),
+            epoch: self.protocol.epoch(),
+            last_committed: self.protocol.last_committed(),
+            failed: failed_ids(&self.failed),
+            elections: self
+                .protocol
+                .elections()
+                .entries()
+                .iter()
+                .map(WireElection::from_election)
+                .collect(),
             recv_base: (0..self.config.num_nodes)
                 .map(|s| self.proxies.delivered(s, node))
                 .collect(),
@@ -592,19 +592,16 @@ impl<'a> WireRunner<'a> {
         if self.failed.get(node) != Some(&true) {
             return Ok(());
         }
-        let held: Vec<usize> = (0..self.config.partitions)
-            .filter(|&p| self.config.node_stores_partition(node, p))
-            .collect();
-        let Some(sources) = self.recovery_sources(node, &held) else {
+        if !protocol::can_recover(&self.config, &self.failed, node) {
             self.violations.push(format!(
                 "scheduled recovery of node {node} failed: no healthy replica holds every \
                  partition it needs"
             ));
             return Ok(());
-        };
-        let source = match sources.first() {
-            Some(&source) => source,
-            None => return Ok(()),
+        }
+        let Some(source) = protocol::interrupted_recovery_source(&self.config, &self.failed, node)
+        else {
+            return Ok(());
         };
         match fault {
             RecoveryFault::SourceCrash => self.pending_kills.push(source),
@@ -612,21 +609,6 @@ impl<'a> WireRunner<'a> {
             RecoveryFault::LinkCut => self.proxies.cut_link(source, node),
         }
         Ok(())
-    }
-
-    /// For each held partition (ascending), the lowest-id healthy node that
-    /// also holds it — the engine's source-selection rule. `None` if any
-    /// partition has no healthy holder.
-    fn recovery_sources(&self, node: usize, held: &[usize]) -> Option<Vec<usize>> {
-        held.iter()
-            .map(|&p| {
-                (0..self.config.num_nodes).find(|&s| {
-                    s != node
-                        && self.failed.get(s) == Some(&false)
-                        && self.config.node_stores_partition(s, p)
-                })
-            })
-            .collect()
     }
 
     /// Waits until the proxies have verdicted every frame the nodes report
@@ -637,40 +619,28 @@ impl<'a> WireRunner<'a> {
         Ok(())
     }
 
-    /// Closes the current epoch on every live node, mirrors the engine's
-    /// fence-time election rule, and advances the epoch.
+    /// Closes the current epoch on every live node, then runs the same
+    /// protocol fence the nodes ran: the election and the epoch advance.
     fn fence(&mut self) -> Result<(), String> {
         self.settle()?;
         let delivered = self.proxies.delivered_matrix();
-        let failed = self.failed_ids();
+        let epoch = self.protocol.epoch();
+        let failed = failed_ids(&self.failed);
         let live: Vec<usize> = (0..self.config.num_nodes).filter(|&n| !self.failed[n]).collect();
         for node in live {
             let expected: Vec<u64> =
                 (0..self.config.num_nodes).map(|s| delivered[s][node]).collect();
-            match self.request(
-                node,
-                Request::Fence { epoch: self.epoch, expected, failed: failed.clone() },
-            )? {
-                Response::FenceDone { epoch, .. } if epoch == self.epoch => {}
-                Response::FenceDone { epoch, .. } => {
+            match self.request(node, Request::Fence { epoch, expected, failed: failed.clone() })? {
+                Response::FenceDone { epoch: fenced, .. } if fenced == epoch => {}
+                Response::FenceDone { epoch: fenced, .. } => {
                     return Err(format!(
-                        "node {node} fenced epoch {epoch}, supervisor expected {}",
-                        self.epoch
+                        "node {node} fenced epoch {fenced}, supervisor expected {epoch}"
                     ))
                 }
                 other => return Err(format!("node {node}: expected FenceDone, got {other:?}")),
             }
         }
-        // Deterministic election, same rule as the engine: lowest-id
-        // healthy full replica, new entry only when the winner changes.
-        let winner = (0..self.config.full_replicas).find(|&n| !self.failed[n]);
-        let last = self.elections.last().expect("election log starts non-empty");
-        if winner != last.master {
-            let generation = last.generation + 1;
-            self.elections.push(MasterElection { epoch: self.epoch, master: winner, generation });
-        }
-        self.last_committed = self.epoch;
-        self.epoch += 1;
+        self.protocol.fence(&self.failed);
         Ok(())
     }
 
@@ -707,7 +677,7 @@ impl<'a> WireRunner<'a> {
             elections,
             digests,
             live,
-            mirror: self.elections,
+            runner_elections: self.protocol.elections().entries().to_vec(),
             violations: self.violations,
         })
     }
